@@ -528,8 +528,9 @@ def bench_serve(quick):
 
     * ``accounting_exact`` — offered == accepted + shed + failed on
       both the client and server ledgers;
-    * ``zero_deadline_violations`` — no 200 was ever sent past its
-      deadline (late successes become 504s before the status line);
+    * ``zero_deadline_violations`` — the load generator received no
+      200 past its deadline (late successes become 504s before the
+      status line);
     * ``goodput_floor_ok`` — goodput under overload stays above the
       floor fraction of what the server could have served;
     * ``auditor_clean`` — overload never corrupted simulator state.

@@ -23,10 +23,6 @@ class CacheStats:
     def accesses(self):
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self):
-        return self.misses / self.accesses if self.accesses else 0.0
-
     def miss_rate_for(self, source):
         h = self.hits_by_source.get(source, 0)
         m = self.misses_by_source.get(source, 0)
@@ -149,10 +145,6 @@ class SetAssocCache:
         if self._outstanding > 0:
             self._outstanding -= 1
 
-    @property
-    def outstanding_misses(self):
-        return self._outstanding
-
     # Introspection ---------------------------------------------------------------
 
     def occupancy(self):
@@ -166,10 +158,3 @@ class SetAssocCache:
             for entry in cache_set.values():
                 counts[entry.owner] += 1
         return dict(counts)
-
-    def resident_lines(self):
-        """Iterator over (addr, state) of valid lines."""
-        for cache_set in self._sets:
-            for addr, entry in cache_set.items():
-                if entry.state.is_valid:
-                    yield addr, entry.state

@@ -27,10 +27,6 @@ class MultiModuleStats:
     per_module_cycles: List[int] = field(default_factory=list)
 
     @property
-    def total_comparisons(self):
-        return sum(self.per_module_comparisons)
-
-    @property
     def makespan_cycles(self):
         """Wall-clock cycles when modules run concurrently."""
         return max(self.per_module_cycles) if self.per_module_cycles else 0

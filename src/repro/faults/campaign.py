@@ -24,15 +24,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.common.config import KSMConfig, TAILBENCH_APPS
-from repro.common.rng import DeterministicRNG
-from repro.faults.governor import DegradationGovernor
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.ksm import KSMDaemon
-from repro.mem import MemoryController, PhysicalMemory
-from repro.virt import Hypervisor
-from repro.workloads.memimage import MemoryImageProfile, build_vm_images
+from repro.sim.host import FunctionalHost, resolve_app
 
 
 @dataclass
@@ -82,12 +75,6 @@ class CampaignResult:
         )
 
 
-def _resolve_app(app):
-    if isinstance(app, str):
-        return TAILBENCH_APPS[app]
-    return app
-
-
 def _content_snapshot(hypervisor):
     """Digest of every mapped guest page, keyed (vm_id, gpn)."""
     snapshot = {}
@@ -115,47 +102,29 @@ def _content_violations(hypervisor, expected):
 
 def run_fault_campaign(app="moses", mode="pageforge", plan=None, seed=0,
                        pages_per_vm=200, n_vms=4, intervals=16,
-                       pages_per_interval=None, resilience=None,
-                       use_governor=True):
+                       pages_per_interval=None, use_governor=True):
     """Run one seeded chaos campaign; returns a :class:`CampaignResult`.
 
-    ``mode`` is "baseline" (no merging), "ksm" (software), or
-    "pageforge" (hardware with ``line_sampling=1`` so every line takes
-    the real, injectable fetch path, and ``verify_ecc=True`` so the
+    ``mode`` is "baseline" (no merging) or a registered merge backend
+    ("ksm" software, "pageforge" hardware, ...).  The host is armed with
+    the plan, so PageForge compares with ``line_sampling=1`` (every line
+    takes the real, injectable fetch path) and ``verify_ecc=True`` (the
     SECDED decode actually runs).
     """
-    app = _resolve_app(app)
+    app = resolve_app(app)
     plan = plan or FaultPlan(seed=seed)
-    rng = DeterministicRNG(seed, f"faultcampaign/{app.name}/{mode}")
-    capacity = max(pages_per_vm * n_vms * 4 * 4096, 64 << 20)
-    memory = PhysicalMemory(capacity)
-    hypervisor = Hypervisor(physical_memory=memory)
-    profile = MemoryImageProfile.for_app(app, pages_per_vm)
-    build_vm_images(hypervisor, profile, n_vms, rng)
-
-    injector = FaultInjector(plan)
-    ksm_config = KSMConfig(pages_to_scan=pages_per_interval
-                           or 2 * pages_per_vm * n_vms)
-    merger = None
-    driver = None
-    governor = None
-    controller = None
-    if mode == "ksm":
-        merger = KSMDaemon(hypervisor, ksm_config)
-    elif mode == "pageforge":
-        from repro.core.driver import PageForgeMergeDriver
-
-        controller = MemoryController(0, memory, verify_ecc=True)
-        driver = PageForgeMergeDriver(
-            hypervisor, controller, ksm_config=ksm_config,
-            line_sampling=1, resilience=resilience,
-        )
-        merger = driver
-        injector.attach(controller=controller, engine=driver.engine)
-        if use_governor:
-            governor = DegradationGovernor(driver.strategy.resilience)
-    elif mode != "baseline":
-        raise ValueError(f"unknown mode: {mode!r}")
+    host = FunctionalHost(
+        f"faultcampaign/{app.name}/{mode}",
+        backend=None if mode == "baseline" else mode, app=app,
+        n_vms=n_vms, pages_per_vm=pages_per_vm, seed=seed,
+        pages_to_scan=pages_per_interval or 2 * pages_per_vm * n_vms,
+        fault_plan=plan,
+    )
+    hypervisor = host.hypervisor
+    merger = host.merger
+    driver = host.bundle.driver if host.bundle is not None else None
+    injector = host.injector
+    governor = host.governor if use_governor else None
 
     expected = _content_snapshot(hypervisor)
     content_violations = 0
@@ -166,7 +135,7 @@ def run_fault_campaign(app="moses", mode="pageforge", plan=None, seed=0,
             if governor is not None:
                 driver.set_backend(governor.plan_interval())
             if merger is not None:
-                merger.scan_pages(ksm_config.pages_to_scan)
+                host.scan()
             if governor is not None:
                 governor.observe(*driver.fault_observations())
             # VM lifecycle churn races the stale Scan-Table/tree state
@@ -198,7 +167,7 @@ def run_fault_campaign(app="moses", mode="pageforge", plan=None, seed=0,
             "pages_per_vm": pages_per_vm,
             "n_vms": n_vms,
             "intervals": intervals,
-            "pages_per_interval": ksm_config.pages_to_scan,
+            "pages_per_interval": host.config.pages_to_scan,
             "use_governor": use_governor,
         },
         intervals_run=intervals,
@@ -216,6 +185,7 @@ def run_fault_campaign(app="moses", mode="pageforge", plan=None, seed=0,
     if driver is not None:
         result.batch_retries = driver.fault_stats.batch_retries
         result.batches_abandoned = driver.fault_stats.batches_abandoned
+        controller = host.bundle.controller
         result.expired_reads = controller.stats.expired_reads
         result.corrected_words = controller.ecc.stats.words_corrected
         result.final_backend = driver.backend

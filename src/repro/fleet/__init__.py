@@ -10,12 +10,12 @@ process.  The public surface:
   :class:`FleetResult` whose ``fingerprint`` is bit-identical for any
   worker count and any submission order;
 * :class:`FunctionalHost` / :func:`migrate_vm` — untimed per-host merge
-  stacks and audited VM live migration between them.
+  stacks (:mod:`repro.sim.host`) and audited VM live migration between
+  them.
 """
 
 from repro.fleet.config import FleetSpec, HostSpec, shard_seed
 from repro.fleet.migration import (
-    FunctionalHost,
     MigrationReport,
     VMImagePayload,
     capture_vm,
@@ -35,6 +35,7 @@ from repro.fleet.shard import (
     run_shard_from_spec,
     shard_tasks,
 )
+from repro.sim.host import FunctionalHost
 
 __all__ = [
     "FleetResult",

@@ -20,22 +20,7 @@ byte-exact content equality between the captured and landed pages.
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-import numpy as np
-
-from repro.common.config import KSMConfig, TAILBENCH_APPS
-from repro.common.rng import DeterministicRNG
-from repro.fleet.shard import frame_digest_counts
-from repro.mem import PhysicalMemory
-from repro.sim.backends import get_backend
-from repro.virt import Hypervisor
-from repro.workloads.memimage import (
-    MemoryImageProfile,
-    WriteChurner,
-    build_vm_images,
-)
-
 __all__ = [
-    "FunctionalHost",
     "MigrationReport",
     "VMImagePayload",
     "capture_vm",
@@ -129,111 +114,6 @@ class MigrationReport:
     details: Dict[str, object] = field(default_factory=dict)
 
 
-class FunctionalHost:
-    """One host's untimed merging stack, as migration sees it.
-
-    The functional face of a shard: a hypervisor with VM images plus
-    one registered backend's :class:`MergerBundle` — the same stack
-    :func:`~repro.sim.runner.run_memory_savings` drives, packaged so
-    the migration and dedup scenarios can hold several hosts at once.
-    """
-
-    def __init__(self, host_id, backend="ksm", app="moses", n_vms=3,
-                 pages_per_vm=120, seed=2017, pages_to_scan=4000,
-                 churn=False, capacity_head_room=4):
-        self.host_id = host_id
-        self.backend = backend
-        self.backend_cls = get_backend(backend)
-        app_cfg = TAILBENCH_APPS[app] if isinstance(app, str) else app
-        self.app = app_cfg
-        self.rng = DeterministicRNG(seed, f"fleet/host{host_id}")
-        capacity = max(
-            pages_per_vm * n_vms * capacity_head_room * 4096, 64 << 20
-        )
-        self.hypervisor = Hypervisor(
-            physical_memory=PhysicalMemory(capacity)
-        )
-        profile = MemoryImageProfile.for_app(app_cfg, pages_per_vm)
-        self.images = build_vm_images(
-            self.hypervisor, profile, n_vms, self.rng,
-            name_prefix=f"h{host_id}-vm",
-        )
-        self.churner = None
-        if churn:
-            self.churner = WriteChurner(
-                self.hypervisor, self.images.churn_pages,
-                self.rng.derive("churn"), fraction_per_tick=0.5,
-            )
-        self.config = KSMConfig(pages_to_scan=pages_to_scan)
-        self.bundle = self.backend_cls.build_functional(
-            self.hypervisor, self.config
-        )
-        self.merger = self.bundle.merger
-
-    # Scanning --------------------------------------------------------------------
-
-    def scan(self, n_pages=None):
-        """One scan interval (churning first when churn is enabled)."""
-        if self.churner is not None:
-            self.churner.tick()
-        return self.merger.scan_pages(
-            self.config.pages_to_scan if n_pages is None else n_pages
-        )
-
-    def converge(self, max_passes=8):
-        """Scan until the footprint stabilises (or the pass budget ends)."""
-        last = None
-        stable = 0
-        for _ in range(max_passes * 40):
-            interval = self.scan()
-            if interval.pages_scanned == 0 and (
-                interval.passes_completed == 0
-            ):
-                break
-            if interval.passes_completed:
-                footprint = self.footprint()
-                if last is not None and footprint == last:
-                    stable += 1
-                else:
-                    stable = 0
-                last = footprint
-                if stable >= 2:
-                    break
-        return self.footprint()
-
-    # Accounting ------------------------------------------------------------------
-
-    def footprint(self):
-        return self.hypervisor.footprint_pages()
-
-    def guest_pages(self):
-        return self.hypervisor.guest_pages()
-
-    def digests(self):
-        return frame_digest_counts(self.hypervisor)
-
-    def attach_auditor(self, auditor):
-        """Wire an InvariantAuditor into this host's merge events."""
-        daemon = self.bundle.daemon
-        if daemon is not None:
-            auditor.attach_daemon(daemon)
-        else:
-            auditor.attach_hypervisor(self.hypervisor)
-        driver = self.bundle.driver
-        if driver is not None and hasattr(driver, "engine"):
-            auditor.attach_engine(driver.engine)
-        return auditor
-
-    def audit(self, auditor):
-        """Full-state audit now: frames always, trees when present."""
-        daemon = self.bundle.daemon
-        if daemon is not None:
-            auditor.on_scan_interval(daemon)
-        else:
-            auditor.audit_frames(self.hypervisor)
-        return auditor
-
-
 def migrate_vm(src, dest, vm_id, auditor=None, rescan=True,
                max_passes=8):
     """Live-migrate ``vm_id`` from ``src`` to ``dest`` (FunctionalHosts).
@@ -262,13 +142,7 @@ def migrate_vm(src, dest, vm_id, auditor=None, rescan=True,
 
     # Destination rebuild: pages land private and mergeable; the
     # destination's own scanner re-merges duplicates.
-    new_vm = dest.hypervisor.create_vm(name=payload.name)
-    for gpn, content, mergeable, category in payload.pages:
-        dest.hypervisor.populate_page(
-            new_vm, gpn,
-            np.frombuffer(content, dtype=np.uint8),
-            category=category, mergeable=mergeable,
-        )
+    new_vm = dest.land(payload)
     if rescan:
         dest.converge(max_passes=max_passes)
     if auditor is not None:

@@ -12,15 +12,13 @@ so a single-host fleet reduces to exactly the numbers ``repro run``
 prints (the differential tests pin this).
 """
 
-import hashlib
 from dataclasses import asdict, dataclass, field
 from typing import Dict
 
-import numpy as np
-
 from repro.common.config import TAILBENCH_APPS
 from repro.fleet.config import FleetSpec, HostSpec
-from repro.sim.runner import LatencySummary
+from repro.sim.host import frame_digest_counts
+from repro.sim.runner import latency_summary
 from repro.sim.system import ServerSystem, SimulationScale
 
 __all__ = [
@@ -30,24 +28,6 @@ __all__ = [
     "run_shard",
     "shard_tasks",
 ]
-
-
-def frame_digest_counts(hypervisor):
-    """Histogram of live-frame contents: blake2b-16 hex -> frame count.
-
-    The cross-host dedup scenario exchanges these between shards: two
-    hosts holding frames with equal digests hold duplicate content that
-    per-host merging can never reclaim.  Digests are content-derived and
-    process-stable, so the histogram is deterministic and cheap to ship
-    (one small dict instead of gigabytes of pages).
-    """
-    counts = {}
-    for frame in hypervisor.memory.frames():
-        digest = hashlib.blake2b(
-            frame.data.tobytes(), digest_size=16
-        ).hexdigest()
-        counts[digest] = counts.get(digest, 0) + 1
-    return counts
 
 
 @dataclass(frozen=True)
@@ -140,30 +120,14 @@ def run_shard(task: ShardTask) -> ShardResult:
     worker, a reused worker, or inline in the parent produces the same
     bits — the property the determinism suite asserts.
     """
-    app = TAILBENCH_APPS[task.app]
     scale = SimulationScale(
         pages_per_vm=task.pages_per_vm, n_vms=task.n_vms,
         duration_s=task.duration_s, warmup_s=task.warmup_s,
     )
-    system = ServerSystem(app, mode=task.backend, scale=scale,
-                          seed=task.seed, scenario=task.scenario)
-    collector = system.run()
-    shares = system.kernel_shares()
-    peak, breakdown, _start = system.bandwidth_peak()
-    summary = LatencySummary(
-        app_name=app.name,
-        mode=task.backend,
-        mean_sojourn_s=collector.geomean_mean_sojourn_s(),
-        p95_sojourn_s=collector.geomean_p95_sojourn_s(),
-        queries=len(collector),
-        kernel_share_avg=float(np.mean(shares)),
-        kernel_share_max=float(np.max(shares)),
-        l3_miss_rate=system.l3_miss_rate(),
-        bandwidth_peak_gbps=peak,
-        bandwidth_breakdown=breakdown,
-        footprint_pages=system.hypervisor.footprint_pages(),
-    )
-    system.backend.summarize(summary)
+    system = ServerSystem(TAILBENCH_APPS[task.app], mode=task.backend,
+                          scale=scale, seed=task.seed,
+                          scenario=task.scenario)
+    system.run()
     hyp = system.hypervisor
     return ShardResult(
         host_id=task.host_id,
@@ -171,7 +135,7 @@ def run_shard(task: ShardTask) -> ShardResult:
         app=task.app,
         seed=task.seed,
         scenario=task.scenario,
-        summary=asdict(summary),
+        summary=asdict(latency_summary(system)),
         metrics=system.metrics.snapshot(),
         digest_counts=frame_digest_counts(hyp),
         guest_pages=hyp.guest_pages(),

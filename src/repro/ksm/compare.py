@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.units import CACHE_LINE_BYTES, PAGE_BYTES
+from repro.common.units import CACHE_LINE_BYTES
 
 
 @dataclass
@@ -152,8 +152,3 @@ def pages_identical(a, b):
     if len(ab) != len(bb):
         raise ValueError("pages must be the same size")
     return ab == bb
-
-
-def full_compare_cost():
-    """Bytes touched by an exhaustive comparison of two equal pages."""
-    return PAGE_BYTES

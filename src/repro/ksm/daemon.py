@@ -514,10 +514,6 @@ class KSMDaemon:
     # Introspection -------------------------------------------------------------
 
     @property
-    def stable_pages(self):
-        return len(self.stable_tree)
-
-    @property
     def unstable_pages(self):
         return len(self.unstable_tree)
 

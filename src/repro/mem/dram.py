@@ -58,13 +58,6 @@ class BandwidthWindow:
         self._buckets[bucket][source] += n_bytes
         self._totals[bucket] += n_bytes
 
-    def bucket_totals(self):
-        """Sorted list of (bucket_start_seconds, total_bytes)."""
-        return [
-            (b * self.window_seconds, total)
-            for b, total in sorted(self._totals.items())
-        ]
-
     def peak_gbps(self):
         """Peak bandwidth over any window, in GB/s (decimal)."""
         if not self._totals:

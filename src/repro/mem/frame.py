@@ -7,7 +7,7 @@ from repro.common.units import (
     LINES_PER_PAGE,
     PAGE_BYTES,
 )
-from repro.ecc.hamming import encode_lines, encode_page
+from repro.ecc.hamming import encode_page
 
 #: Process-wide count of frame content mutations.  Batch sweeps (e.g. the
 #: KSM daemon's checksum priming) record the epoch after a sweep and skip
@@ -37,7 +37,7 @@ class PageFrame:
 
     __slots__ = (
         "ppn", "data", "refcount", "_ecc_codes", "writes", "reads",
-        "version", "_content_bytes", "_checksum_memo", "_ecc_key_memo",
+        "version", "_content_bytes", "_checksum_memo",
     )
 
     def __init__(self, ppn, data=None):
@@ -56,7 +56,6 @@ class PageFrame:
         self.version = 0
         self._content_bytes = None
         self._checksum_memo = None
-        self._ecc_key_memo = None
 
     def _invalidate(self):
         """Drop every content-derived cache after a write."""
@@ -64,7 +63,6 @@ class PageFrame:
         self._ecc_codes = None
         self._content_bytes = None
         self._checksum_memo = None
-        self._ecc_key_memo = None
         self.version += 1
         self.writes += 1
         _WRITE_EPOCH += 1
@@ -156,25 +154,6 @@ class PageFrame:
     def seed_checksum(self, params, value):
         """Prime the checksum memo (used by batch prefetchers)."""
         self._checksum_memo = (params, value)
-
-    def ecc_key(self, key_fn, params):
-        """Memoized ECC hash key (same contract as :meth:`checksum`)."""
-        memo = self._ecc_key_memo
-        if memo is not None and memo[0] == params:
-            return memo[1]
-        value = key_fn(self)
-        self._ecc_key_memo = (params, value)
-        return value
-
-    def ecc_codes_for_lines(self, line_indices):
-        """Codes for selected lines without encoding the whole page.
-
-        Uses the full cached table when present; otherwise encodes just
-        the requested lines (each 64 B line encodes independently).
-        """
-        if self._ecc_codes is not None:
-            return self._ecc_codes[list(line_indices)]
-        return encode_lines(self.data, line_indices)
 
     def is_zero(self):
         """True if every byte of the frame is zero."""

@@ -96,10 +96,6 @@ class PhysicalMemory:
         """Number of live physical frames (the Fig. 7 metric)."""
         return len(self._frames)
 
-    @property
-    def allocated_bytes(self):
-        return self.allocated_frames * PAGE_BYTES
-
     def frames(self):
         """Iterator over live frames."""
         return iter(self._frames.values())

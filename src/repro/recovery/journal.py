@@ -201,10 +201,6 @@ class MergeJournal:
             self.seq = self._cursor[0]["seq"]
         return self
 
-    @property
-    def verify_remaining(self):
-        return len(self._cursor) - self._cursor_pos
-
     def _emit(self, op, args):
         record = {
             "seq": self.seq,

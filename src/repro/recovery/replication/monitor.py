@@ -68,9 +68,6 @@ class ReplicationMonitor:
             self.acked_lsn.get(replica, 0), ack["lsn"]
         )
 
-    def note_primary_lsn(self, lsn):
-        self.primary_lsn = max(self.primary_lsn, int(lsn))
-
     def sample_lag(self, active=None):
         """Record each live replica's lag behind the primary, in records."""
         replicas = self.acked_lsn if active is None else {

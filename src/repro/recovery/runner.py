@@ -31,28 +31,15 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from repro.common.config import KSMConfig, TAILBENCH_APPS
+from repro.common.config import TAILBENCH_APPS
 from repro.common.io import atomic_write_text
-from repro.common.rng import DeterministicRNG
-from repro.faults.governor import DegradationGovernor
-from repro.faults.injector import FaultInjector, ProcessCrash
+from repro.faults.injector import ProcessCrash
 from repro.faults.plan import FaultPlan
-from repro.mem import PhysicalMemory
 from repro.recovery.journal import MergeJournal, read_journal
-from repro.recovery.serialize import (
-    capture_governor,
-    capture_hypervisor,
-    capture_injector,
-    jsonify,
-    page_digests,
-    restore_governor,
-    restore_hypervisor,
-    restore_injector,
-)
+from repro.recovery.serialize import jsonify, page_digests
 from repro.recovery.snapshot import CheckpointStore
 from repro.sim.backends import get_backend, recoverable_backends
-from repro.virt import Hypervisor
-from repro.workloads.memimage import MemoryImageProfile, build_vm_images
+from repro.sim.host import FunctionalHost
 
 
 @dataclass(frozen=True)
@@ -116,7 +103,7 @@ class RecoverableRun:
     :meth:`RecoverableRun.resume`.
     """
 
-    def __init__(self, spec, workdir, attempt=0, _defer_build=False):
+    def __init__(self, spec, workdir, attempt=0, _state=None):
         self.spec = spec
         self.workdir = Path(workdir)
         self.attempt = int(attempt)
@@ -131,74 +118,35 @@ class RecoverableRun:
         self.resumed_from_step = None
         self.replayed_records = 0
         self.checkpoints_written = 0
-        self._build_components()
-        if not _defer_build:
-            self._build_images()
-
-    # Construction -----------------------------------------------------------------
-
-    def _build_components(self):
-        spec = self.spec
-        capacity = max(spec.pages_per_vm * spec.n_vms * 4 * 4096, 64 << 20)
-        self.memory = PhysicalMemory(capacity)
-        self.hypervisor = Hypervisor(physical_memory=self.memory)
-        ksm_config = KSMConfig(pages_to_scan=spec.scan_batch)
-        self.governor = None
-        # line_sampling=1: recovery runs compare every line, so the
-        # oracle grading in validate() sees no sampling artefacts.
-        self.backend_cls = get_backend(spec.mode)
-        self.bundle = self.backend_cls.build_functional(
-            self.hypervisor, ksm_config, line_sampling=1, verify_ecc=True,
+        # The fault plan arms the host: recovery runs compare every line
+        # (line_sampling=1), so the oracle grading in validate() sees no
+        # sampling artefacts.
+        self.host = FunctionalHost(
+            f"recoverable/{spec.app}/{spec.mode}", backend=spec.mode,
+            app=spec.app, n_vms=spec.n_vms, pages_per_vm=spec.pages_per_vm,
+            seed=spec.seed, pages_to_scan=spec.scan_batch,
+            fault_plan=spec.plan, state=_state,
         )
-        self.merger = self.bundle.merger
-        self.daemon = self.bundle.daemon
-        self.driver = self.bundle.driver
-        self.controller = self.bundle.controller
-        self.injector = FaultInjector(spec.plan)
-        if self.controller is not None:
-            self.injector.attach(
-                controller=self.controller, engine=self.driver.engine
-            )
+        self.hypervisor = self.host.hypervisor
+        self.merger = self.host.merger
+        self.daemon = self.host.bundle.daemon
+        self.driver = self.host.bundle.driver
+        self.controller = self.host.bundle.controller
+        self.injector = self.host.injector
         self.injector.set_crash_attempt(self.attempt)
-        if spec.use_governor and self.driver is not None:
-            self.governor = DegradationGovernor(
-                self.driver.strategy.resilience
-            )
-
-    def _build_images(self):
-        spec = self.spec
-        rng = DeterministicRNG(spec.seed, f"recoverable/{spec.app}/{spec.mode}")
-        profile = MemoryImageProfile.for_app(
-            TAILBENCH_APPS[spec.app], spec.pages_per_vm
-        )
-        build_vm_images(self.hypervisor, profile, spec.n_vms, rng)
+        self.governor = self.host.governor if spec.use_governor else None
+        if _state is not None:
+            self.footprints = list(_state["footprints"])
+            self.start_interval = _state["interval"]
 
     # Checkpoint / restore ----------------------------------------------------------
 
     def capture_state(self):
-        state = {
+        return {
             "interval": self.start_interval,
             "footprints": list(self.footprints),
-            "hypervisor": capture_hypervisor(self.hypervisor),
-            "injector": capture_injector(self.injector),
-            "governor": (
-                capture_governor(self.governor)
-                if self.governor is not None else None
-            ),
+            **self.host.capture(),
         }
-        state["merger_kind"] = self.spec.mode
-        state["merger"] = self.backend_cls.capture_functional(self.bundle)
-        return state
-
-    def restore_state(self, state):
-        restore_hypervisor(self.hypervisor, state["hypervisor"])
-        self.backend_cls.restore_functional(self.bundle, state["merger"])
-        restore_injector(self.injector, state["injector"])
-        if state["governor"] is not None and self.governor is not None:
-            restore_governor(self.governor, state["governor"])
-        self.footprints = list(state["footprints"])
-        self.start_interval = state["interval"]
-        return self
 
     @classmethod
     def resume(cls, workdir, attempt=1):
@@ -213,14 +161,11 @@ class RecoverableRun:
         probe = CheckpointStore(
             workdir / "checkpoints", keep=spec.keep_checkpoints
         )
-        latest_probe = probe.latest()
-        run = cls(spec, workdir, attempt=attempt,
-                  _defer_build=latest_probe is not None)
+        state, header = probe.latest() or (None, None)
+        run = cls(spec, workdir, attempt=attempt, _state=state)
         run.store.skipped_corrupt = probe.skipped_corrupt
         records, _dropped = read_journal(workdir / "journal.jsonl")
-        if latest_probe is not None:
-            state, header = latest_probe
-            run.restore_state(state)
+        if header is not None:
             run.resumed_from_step = header["step"]
             run.journal.seq = header["journal_seq"]
             remaining = [
@@ -317,10 +262,10 @@ class RecoverableRun:
             "pages": page_digests(hyp),
             "hyp_stats": asdict(hyp.stats),
             "memory": [
-                self.memory.allocated_frames,
-                self.memory.peak_allocated,
-                self.memory.total_allocations,
-                self.memory.total_frees,
+                hyp.memory.allocated_frames,
+                hyp.memory.peak_allocated,
+                hyp.memory.total_allocations,
+                hyp.memory.total_frees,
             ],
             "daemon_stats": asdict(self.daemon.stats),
             "injector": self.injector.stats.snapshot(),

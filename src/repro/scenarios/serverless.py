@@ -188,31 +188,27 @@ def run_cold_start_study(backend="ksm", app="moses", n_sandboxes=8,
     # Imported lazily: this module is imported by repro.scenarios at
     # package init, before repro.sim exists on some import paths.
     from repro.common.config import KSMConfig
-    from repro.mem import PhysicalMemory
-    from repro.sim.backends import get_backend
+    from repro.sim.host import FunctionalHost
     from repro.verify.invariants import InvariantAuditor
-    from repro.virt import Hypervisor
 
     spec = ScenarioSpec("serverless", app, n_sandboxes, pages_per_vm, seed)
-    backend_cls = get_backend(backend)
-    capacity = max(pages_per_vm * n_sandboxes * 4 * 4096, 64 << 20)
 
     def _run(hinted):
-        hypervisor = Hypervisor(physical_memory=PhysicalMemory(capacity))
-        images = spec.build_images(hypervisor)
-        bundle = backend_cls.build_functional(hypervisor, KSMConfig())
-        auditor = InvariantAuditor()
-        auditor.attach_hypervisor(hypervisor)
-        if bundle.daemon is not None:
-            auditor.attach_daemon(bundle.daemon)
-        hints = tuple(spec.model().merge_hints(images))
-        accepted = apply_bundle_hints(bundle, hints) if hinted else 0
+        # The content stream is the one ServerSystem and ScenarioSpec use.
+        host = FunctionalHost(
+            spec.content_rng().name, backend=backend, app=app,
+            n_vms=n_sandboxes, pages_per_vm=pages_per_vm, seed=seed,
+            pages_to_scan=KSMConfig.pages_to_scan, scenario="serverless",
+        )
+        auditor = host.attach_auditor(InvariantAuditor())
+        hints = tuple(spec.model().merge_hints(host.images))
+        accepted = apply_bundle_hints(host.bundle, hints) if hinted else 0
         budget = scan_budget if scan_budget else max(1, len(hints))
-        footprints = [hypervisor.footprint_pages()]
+        footprints = [host.footprint()]
         stable = 0
         for _ in range(max_intervals):
-            bundle.merger.scan_pages(budget)
-            footprint = hypervisor.footprint_pages()
+            host.scan(budget)
+            footprint = host.footprint()
             stable = stable + 1 if footprint == footprints[-1] else 0
             footprints.append(footprint)
             if stable >= 3:

@@ -95,11 +95,6 @@ class AdmissionStats:
     shed_breaker: int = 0
     failed_error: int = 0
     failed_deadline: int = 0
-    #: Must stay 0 forever: 200s sent past their deadline.  The server
-    #: converts a too-late success to 504 before the status line goes
-    #: out, so any nonzero here is a front-end bug, and the bench gate
-    #: treats it as one.
-    accepted_deadline_violations: int = 0
     inflight: int = 0
     inflight_peak: int = 0
     ewma_latency_s: float = 0.0
@@ -255,11 +250,6 @@ class AdmissionController:
             self.stats.inflight -= 1
             self._idle.notify_all()
 
-    def flag_late_success(self):
-        """Record that a 200 escaped past its deadline (must never fire)."""
-        with self._lock:
-            self.stats.accepted_deadline_violations += 1
-
     # Metrics --------------------------------------------------------------------
 
     def metrics(self):
@@ -277,7 +267,6 @@ class AdmissionController:
             "failed": s.failed,
             "failed_error": s.failed_error,
             "failed_deadline": s.failed_deadline,
-            "accepted_deadline_violations": s.accepted_deadline_violations,
             "inflight": s.inflight,
             "inflight_peak": s.inflight_peak,
             "ewma_latency_s": s.ewma_latency_s,

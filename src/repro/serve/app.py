@@ -1,7 +1,7 @@
 """The application behind the front-end: one live merging world.
 
 The data plane serves a long-lived
-:class:`~repro.fleet.migration.FunctionalHost` — the same untimed merge
+:class:`~repro.sim.host.FunctionalHost` — the same untimed merge
 stack the fleet and migration tiers drive — through three request
 classes:
 
@@ -23,16 +23,14 @@ instead of executed.
 import threading
 from dataclasses import replace
 
-import numpy as np
-
 from repro.common.units import PAGE_BYTES
-from repro.fleet.migration import FunctionalHost, capture_vm
+from repro.fleet.migration import capture_vm
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.chaos import ServeChaos
 from repro.serve.deadline import DeadlineExceeded
 from repro.sim.backends import available_backends
+from repro.sim.host import FunctionalHost
 from repro.sim.metrics import MetricsRegistry, summarize
-from repro.workloads.memimage import WriteChurner
 
 __all__ = [
     "MergeServiceApp",
@@ -74,7 +72,7 @@ class MergeServiceApp:
     def _build_host(self, backend, n_vms):
         cfg = self.config
         host = FunctionalHost(
-            host_id=self._generation, backend=backend, app=cfg.app,
+            self._generation, backend=backend, app=cfg.app,
             n_vms=n_vms, pages_per_vm=cfg.pages_per_vm,
             seed=cfg.seed, pages_to_scan=cfg.scan_rate,
             churn=n_vms > 0,
@@ -245,24 +243,16 @@ class MergeServiceApp:
             else []
         )
         new = self._build_host(backend, n_vms=0)
-        vm_id_map = {}
-        for payload in payloads:
-            vm = new.hypervisor.create_vm(name=payload.name)
-            vm_id_map[payload.source_vm_id] = vm.vm_id
-            for gpn, content, mergeable, category in payload.pages:
-                new.hypervisor.populate_page(
-                    vm, gpn, np.frombuffer(content, dtype=np.uint8),
-                    category=category, mergeable=mergeable,
-                )
+        vm_id_map = {
+            payload.source_vm_id: new.land(payload).vm_id
+            for payload in payloads
+        }
         churn_pages = [
             (vm_id_map[vm_id], gpn)
             for vm_id, gpn in old_churn if vm_id in vm_id_map
         ]
         if churn_pages:
-            new.churner = WriteChurner(
-                new.hypervisor, churn_pages,
-                new.rng.derive("churn"), fraction_per_tick=0.5,
-            )
+            new.start_churn(churn_pages)
         self.host = new
         self.backend_switches += 1
         if self.auditor is not None:

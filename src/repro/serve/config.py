@@ -6,7 +6,7 @@ mutated out from under the admission logic (admin ops that *should*
 change behaviour, like the scan rate, live on the app, not here).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 __all__ = [
@@ -97,6 +97,3 @@ class ServeConfig:
                 f"breaker_threshold must be >= 1: {self.breaker_threshold}"
             )
 
-    def with_chaos(self, **kwargs):
-        """A copy with chaos knobs replaced (tests, chaos campaigns)."""
-        return replace(self, chaos=replace(self.chaos, **kwargs))

@@ -316,9 +316,10 @@ def _summarize_run(spec, records, elapsed, base_url, run_name,
             ok_latencies.append(record["latency_s"])
             service_latencies.append(record["service_s"])
             if record["service_s"] > deadline_s + 0.25:
-                # Generous loopback grace: the server-side counter is
-                # the exact gate; this catches gross client-visible
-                # violations.
+                # A 200 past its deadline (plus a generous loopback
+                # grace) — the server converts late successes to 504,
+                # so any count here is a front-end bug, and the
+                # overload verdict fails on it.
                 result.accepted_over_deadline += 1
         elif status in (429, 503):
             result.shed += 1
@@ -494,8 +495,6 @@ def run_overload_check(server, overload_factor=2.0, probe_s=1.0,
     # offered load below capacity x factor.
     servable = min(capacity, target / overload_factor)
     goodput_ratio = result.goodput_qps / servable
-    admission = result.server_admission
-    violations = int(admission.get("accepted_deadline_violations", 0))
     return OverloadVerdict(
         capacity_qps=capacity,
         overload_factor=overload_factor,
@@ -504,6 +503,6 @@ def run_overload_check(server, overload_factor=2.0, probe_s=1.0,
         goodput_floor=goodput_floor,
         goodput_floor_ok=goodput_ratio >= goodput_floor,
         accounting_exact=result.accounting_exact,
-        deadline_violations=violations,
+        deadline_violations=result.accepted_over_deadline,
         result=result,
     )

@@ -55,6 +55,16 @@ def _shed_status(reason):
     return 429 if reason in ShedReason.RATE_REASONS else 503
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    daemon_threads = True
+    # socketserver's default listen backlog is 5.  A burst of new
+    # connections (a load generator's workers connecting at once)
+    # overflows it, the kernel drops the excess SYNs, and each client
+    # retries after a 1 s timeout — queueing the request's deadline
+    # clock never sees, so a 200 reaches the client past its deadline.
+    request_queue_size = 128
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     # Headers and body go out as separate writes; without TCP_NODELAY,
@@ -146,10 +156,7 @@ class MergeServer:
         self._serve_thread = None
 
         handler = type("BoundHandler", (_Handler,), {"front": self})
-        self._httpd = ThreadingHTTPServer(
-            (config.host, config.port), handler
-        )
-        self._httpd.daemon_threads = True
+        self._httpd = _HTTPServer((config.host, config.port), handler)
 
     # Addressing -----------------------------------------------------------------
 

@@ -16,8 +16,7 @@ with one clock:
 misses advance it by their measured latency, and query/chunk starts pull
 it forward to event time.  ``core_miss_latency`` is the L3-miss path the
 per-core cache hierarchies call into (network + MC queue + DRAM,
-inflated by contention) — the function previously known as
-``ServerSystem._memory_latency``.
+inflated by contention).
 """
 
 import math

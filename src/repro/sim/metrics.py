@@ -118,10 +118,6 @@ class MetricsRegistry:
         self._providers[name] = provider
         return self
 
-    def unregister(self, name):
-        self._providers.pop(name, None)
-        return self
-
     @property
     def names(self):
         return tuple(sorted(self._providers))

@@ -11,26 +11,10 @@ from typing import Dict
 
 import numpy as np
 
-from repro.common.config import KSMConfig, TAILBENCH_APPS
-from repro.common.rng import DeterministicRNG
 from repro.core.hashkey import ecc_hash_key
 from repro.ksm.jhash import page_checksum
-from repro.mem import PhysicalMemory
-from repro.sim.backends import get_backend
+from repro.sim.host import FunctionalHost, resolve_app
 from repro.sim.system import ServerSystem
-from repro.virt import Hypervisor
-from repro.workloads.memimage import (
-    MemoryImageProfile,
-    WriteChurner,
-    build_vm_images,
-)
-
-
-def _resolve_app(app):
-    if isinstance(app, str):
-        return TAILBENCH_APPS[app]
-    return app
-
 
 # --------------------------------------------------------------------------
 # Figure 7: memory savings
@@ -79,67 +63,43 @@ def run_memory_savings(app, pages_per_vm=2000, n_vms=10, seed=2017,
     newest valid checkpoint and produces a bit-identical result to the
     uninterrupted run.
     """
-    app = _resolve_app(app)
-    rng = DeterministicRNG(seed, f"fig7/{app.name}")
-    capacity = max(pages_per_vm * n_vms * 4 * 4096, 64 << 20)
-
+    app = resolve_app(app)
     store = None
-    restored = None
+    state = None
     if checkpoint_dir is not None:
         from repro.recovery.snapshot import CheckpointStore
 
         store = CheckpointStore(checkpoint_dir)
-        if resume:
-            restored = store.latest()
+        latest = store.latest() if resume else None
+        if latest is not None:
+            state, _header = latest
 
-    memory = PhysicalMemory(capacity)
-    hypervisor = Hypervisor(physical_memory=memory)
-    profile = MemoryImageProfile.for_app(app, pages_per_vm)
-    if restored is None:
-        images = build_vm_images(hypervisor, profile, n_vms, rng)
-        churn_pages = [tuple(p) for p in images.churn_pages] if churn else []
-
-    ksm_config = KSMConfig(pages_to_scan=4000)
     # Registry dispatch: an unknown engine raises ValueError naming the
     # registered backends; "baseline" raises because it has no merging
     # stack to run.
-    backend_cls = get_backend(engine)
-    bundle = backend_cls.build_functional(hypervisor, ksm_config)
-    merger = bundle.merger
+    host = FunctionalHost(
+        f"fig7/{app.name}", backend=engine, app=app, n_vms=n_vms,
+        pages_per_vm=pages_per_vm, seed=seed, churn=churn, state=state,
+    )
+    hypervisor = host.hypervisor
+    merger = host.merger
 
-    if restored is None:
+    if state is None:
         before = hypervisor.footprint_pages()
         before_by_cat = hypervisor.footprint_by_category()
         start_tick = 0
         last_footprint = None
         stable = 0
+        passes_before = merger.stats.passes_completed
     else:
-        from repro.recovery import serialize as _ser
-
-        state, _header = restored
-        _ser.restore_hypervisor(hypervisor, state["hypervisor"])
-        backend_cls.restore_functional(bundle, state["merger"])
-        churn_pages = [tuple(p) for p in state["churn_pages"]]
         before = state["before"]
         before_by_cat = state["before_by_cat"]
         start_tick = state["tick"]
         last_footprint = state["last_footprint"]
         stable = state["stable"]
-
-    churner = WriteChurner(
-        hypervisor, churn_pages, rng.derive("churn"), fraction_per_tick=0.5,
-    )
-    if restored is not None:
-        from repro.recovery import serialize as _ser
-
-        _ser.restore_churner(churner, state["churner"])
         passes_before = state["passes_before"]
-    else:
-        passes_before = merger.stats.passes_completed
 
     def _checkpoint(tick):
-        from repro.recovery import serialize as _ser
-
         snap = {
             "tick": tick,
             "passes_before": passes_before,
@@ -147,18 +107,13 @@ def run_memory_savings(app, pages_per_vm=2000, n_vms=10, seed=2017,
             "stable": stable,
             "before": before,
             "before_by_cat": before_by_cat,
-            "churn_pages": [list(p) for p in churn_pages],
-            "churner": _ser.capture_churner(churner),
-            "hypervisor": _ser.capture_hypervisor(hypervisor),
-            "merger_kind": engine,
-            "merger": backend_cls.capture_functional(bundle),
+            **host.capture(),
         }
         store.save(tick, snap, meta={"experiment": "savings",
                                      "app": app.name, "engine": engine})
 
     for tick in range(start_tick, max_passes * 40):
-        churner.tick()
-        interval = merger.scan_pages(ksm_config.pages_to_scan)
+        interval = host.scan()
         done = False
         if interval.pages_scanned == 0 and interval.passes_completed == 0:
             done = True
@@ -245,16 +200,14 @@ def run_hash_key_study(app, pages_per_vm=600, n_vms=4, n_passes=6,
     offsets, so some pages change in ways one key sees and the other
     misses — the source of false-positive matches.
     """
-    app = _resolve_app(app)
-    rng = DeterministicRNG(seed, f"fig8/{app.name}")
-    capacity = max(pages_per_vm * n_vms * 4 * 4096, 64 << 20)
-    hypervisor = Hypervisor(physical_memory=PhysicalMemory(capacity))
-    profile = MemoryImageProfile.for_app(app, pages_per_vm)
-    images = build_vm_images(hypervisor, profile, n_vms, rng)
-    churner = WriteChurner(
-        hypervisor, images.churn_pages, rng.derive("churn"),
-        fraction_per_tick=churn_fraction,
+    app = resolve_app(app)
+    host = FunctionalHost(
+        f"fig8/{app.name}", backend=None, app=app, n_vms=n_vms,
+        pages_per_vm=pages_per_vm, seed=seed,
     )
+    hypervisor = host.hypervisor
+    images = host.images
+    churner = host.start_churn(images.churn_pages, churn_fraction)
 
     prev_jhash = {}
     prev_ecc = {}
@@ -328,6 +281,28 @@ class LatencySummary:
     footprint_pages: int = 0
 
 
+def latency_summary(system):
+    """The LatencySummary of a finished :class:`ServerSystem` run."""
+    collector = system.collector
+    shares = system.kernel_shares()
+    peak, breakdown, _start = system.bandwidth_peak()
+    summary = LatencySummary(
+        app_name=system.app.name,
+        mode=system.mode,
+        mean_sojourn_s=collector.geomean_mean_sojourn_s(),
+        p95_sojourn_s=collector.geomean_p95_sojourn_s(),
+        queries=len(collector),
+        kernel_share_avg=float(np.mean(shares)),
+        kernel_share_max=float(np.max(shares)),
+        l3_miss_rate=system.l3_miss_rate(),
+        bandwidth_peak_gbps=peak,
+        bandwidth_breakdown=breakdown,
+        footprint_pages=system.hypervisor.footprint_pages(),
+    )
+    system.backend.summarize(summary)
+    return summary
+
+
 @dataclass
 class ExperimentResult:
     """All requested modes for one application.
@@ -371,7 +346,7 @@ def run_latency_experiment(app, modes=("baseline", "ksm", "pageforge"),
 
     from repro.common.io import atomic_write_text
 
-    app = _resolve_app(app)
+    app = resolve_app(app)
     result = ExperimentResult(app_name=app.name)
     # Non-default scenarios get their own checkpoint namespace so a
     # resumed serverless run never picks up a steady-state summary.
@@ -394,23 +369,8 @@ def run_latency_experiment(app, modes=("baseline", "ksm", "pageforge"),
             app, mode=mode, machine=machine, scale=scale, seed=seed,
             scenario=scenario,
         )
-        collector = system.run()
-        shares = system.kernel_shares()
-        peak, breakdown, _start = system.bandwidth_peak()
-        summary = LatencySummary(
-            app_name=app.name,
-            mode=mode,
-            mean_sojourn_s=collector.geomean_mean_sojourn_s(),
-            p95_sojourn_s=collector.geomean_p95_sojourn_s(),
-            queries=len(collector),
-            kernel_share_avg=float(np.mean(shares)),
-            kernel_share_max=float(np.max(shares)),
-            l3_miss_rate=system.l3_miss_rate(),
-            bandwidth_peak_gbps=peak,
-            bandwidth_breakdown=breakdown,
-            footprint_pages=system.hypervisor.footprint_pages(),
-        )
-        system.backend.summarize(summary)
+        system.run()
+        summary = latency_summary(system)
         result.summaries[mode] = summary
         result.metrics[mode] = system.metrics.snapshot()
         if mode_path is not None:

@@ -63,6 +63,7 @@ from repro.scenarios import get_scenario
 from repro.sim.backends import get_backend
 from repro.sim.backends.cachecost import CacheCostSink as _CacheCostSink
 from repro.sim.engine import EventQueue
+from repro.sim.host import host_capacity_bytes
 from repro.sim.load import LoadGenerator
 from repro.sim.memmodel import MemoryModel
 from repro.sim.metrics import KSMTimingStats, MetricsRegistry
@@ -171,11 +172,9 @@ class ServerSystem:
 
     def _build_machine(self):
         proc = self.machine.processor
-        capacity = max(
-            self.scale.pages_per_vm * self.scale.n_vms * 4 * 4096,
-            64 * 1024 * 1024,
-        )
-        self.memory = PhysicalMemory(capacity)
+        self.memory = PhysicalMemory(host_capacity_bytes(
+            self.scale.pages_per_vm, self.scale.n_vms
+        ))
         self.dram = DRAMModel(self.machine.dram, cpu_frequency_hz=self.freq)
         self.memmodel = MemoryModel(
             self.machine, self.scale, self.app, self.dram, self.freq
@@ -304,14 +303,6 @@ class ServerSystem:
         return self.load.collector
 
     @property
-    def arrivals(self):
-        return self.load.arrivals
-
-    @property
-    def service_shape(self):
-        return self.load.service_shape
-
-    @property
     def _mem_now(self):
         return self.memmodel.now_s
 
@@ -329,12 +320,6 @@ class ServerSystem:
     def app_l3_miss_rate(self, now):
         """Current app-visible L3 local miss rate (baseline + pollution)."""
         return self.memmodel.app_l3_miss_rate(now)
-
-    def _contention_factor(self):
-        return self.memmodel.contention_factor()
-
-    def _memory_latency(self, addr, is_write, source):
-        return self.memmodel.core_miss_latency(addr, is_write, source)
 
     # Query execution ----------------------------------------------------------------
 

@@ -22,50 +22,15 @@ Pass criteria (:meth:`DifferentialResult.ok`):
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.common.config import KSMConfig, TAILBENCH_APPS
-from repro.common.rng import DeterministicRNG
-from repro.ksm import KSMDaemon
-from repro.mem import MemoryController, PhysicalMemory
+from repro.sim.host import FunctionalHost, resolve_app
 from repro.verify.oracle import (
     MergeEquivalenceReport,
     compare_to_oracle,
     reference_partition,
 )
-from repro.virt import Hypervisor
-from repro.workloads.memimage import MemoryImageProfile, build_vm_images
 
-#: Backends the harness knows how to construct.
+#: Backends the harness compares by default.
 BACKENDS = ("ksm", "pageforge")
-
-
-def _resolve_app(app):
-    if isinstance(app, str):
-        return TAILBENCH_APPS[app]
-    return app
-
-
-def _build_image(app, seed, pages_per_vm, n_vms):
-    """One deterministic VM fleet; identical for identical arguments."""
-    rng = DeterministicRNG(seed, f"verify-diff/{app.name}")
-    capacity = max(pages_per_vm * n_vms * 4 * 4096, 64 << 20)
-    hypervisor = Hypervisor(physical_memory=PhysicalMemory(capacity))
-    profile = MemoryImageProfile.for_app(app, pages_per_vm)
-    build_vm_images(hypervisor, profile, n_vms, rng)
-    return hypervisor
-
-
-def _build_backend(name, hypervisor, ksm_config, line_sampling=8):
-    if name == "ksm":
-        return KSMDaemon(hypervisor, ksm_config)
-    if name == "pageforge":
-        from repro.core.driver import PageForgeMergeDriver
-
-        controller = MemoryController(0, hypervisor.memory, verify_ecc=False)
-        return PageForgeMergeDriver(
-            hypervisor, controller, ksm_config=ksm_config,
-            line_sampling=line_sampling,
-        )
-    raise ValueError(f"unknown backend: {name!r}")
 
 
 @dataclass
@@ -107,8 +72,16 @@ def run_differential(app="moses", seed=0, pages_per_vm=150, n_vms=3,
                      backends=BACKENDS, max_passes=8, fn_tolerance=0.02,
                      mergeable_only=True):
     """Run one seeded workload through every backend and the oracle."""
-    app = _resolve_app(app)
-    frozen = _build_image(app, seed, pages_per_vm, n_vms)
+    app = resolve_app(app)
+
+    def host(backend):
+        # One deterministic VM fleet: identical images for every backend.
+        return FunctionalHost(
+            f"verify-diff/{app.name}", backend=backend, app=app,
+            n_vms=n_vms, pages_per_vm=pages_per_vm, seed=seed,
+        )
+
+    frozen = host(None).hypervisor
     oracle = reference_partition(frozen, mergeable_only=mergeable_only)
 
     result = DifferentialResult(
@@ -118,13 +91,11 @@ def run_differential(app="moses", seed=0, pages_per_vm=150, n_vms=3,
         oracle_comparisons=oracle.comparisons,
         fn_tolerance=fn_tolerance,
     )
-    ksm_config = KSMConfig(pages_to_scan=4000)
     for backend in backends:
-        hypervisor = _build_image(app, seed, pages_per_vm, n_vms)
-        merger = _build_backend(backend, hypervisor, ksm_config)
-        merger.run_to_steady_state(max_passes=max_passes)
+        merged = host(backend)
+        merged.merger.run_to_steady_state(max_passes=max_passes)
         result.reports[backend] = compare_to_oracle(
-            hypervisor, oracle, frozen_hypervisor=frozen,
+            merged.hypervisor, oracle, frozen_hypervisor=frozen,
             backend=backend, mergeable_only=mergeable_only,
         )
     return result

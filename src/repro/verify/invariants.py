@@ -469,16 +469,5 @@ class InvariantAuditor:
         """Wire into a :class:`~repro.sim.system.ServerSystem`: the
         system's merge backend decides which components to audit (and
         every backend wires at least the hypervisor)."""
-        backend = getattr(system, "backend", None)
-        if backend is not None:
-            backend.attach_auditor(self)
-            return self
-        # Legacy wiring for bare objects that expose the old attributes.
-        if getattr(system, "ksm", None) is not None:
-            self.attach_daemon(system.ksm)
-        elif getattr(system, "pf_driver", None) is not None:
-            self.attach_daemon(system.pf_driver.daemon)
-            self.attach_engine(system.pf_driver.engine)
-        else:
-            self.attach_hypervisor(system.hypervisor)
+        system.backend.attach_auditor(self)
         return self

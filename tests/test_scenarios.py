@@ -283,6 +283,23 @@ class TestColdStartStudy:
         )
         assert payload["hint_speedup"] == pytest.approx(study.hint_speedup)
 
+    def test_auditor_wraps_each_hypervisor_once(self, monkeypatch):
+        # A second wrap would audit every merge twice (and double-count
+        # auditor_checks): each run's hypervisor is attached exactly once.
+        attached = []
+        real_attach = InvariantAuditor.attach_hypervisor
+
+        def recording_attach(auditor, hypervisor):
+            attached.append(hypervisor)
+            return real_attach(auditor, hypervisor)
+
+        monkeypatch.setattr(
+            InvariantAuditor, "attach_hypervisor", recording_attach
+        )
+        run_cold_start_study(backend="ksm", n_sandboxes=2, pages_per_vm=32)
+        assert len(attached) == 2
+        assert attached[0] is not attached[1]
+
 
 class TestFleetScenarios:
     def test_heterogeneous_cycles_scenarios(self):

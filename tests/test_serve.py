@@ -4,6 +4,7 @@ import http.client
 import json
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.serve import (
     ServeConfig,
     ShedReason,
     TokenBucket,
+    loadgen,
 )
 from repro.serve.deadline import DEADLINE_HEADER
 from repro.serve.server import TENANT_HEADER
@@ -285,6 +287,45 @@ class TestSummarizePercentiles:
     def test_empty_yields_zeroed_keys(self):
         out = summarize([], percentiles=(50, 99.9))
         assert out["count"] == 0 and out["p99.9"] == 0.0
+
+
+# Overload verdict ----------------------------------------------------------------
+
+
+class TestOverloadVerdictDeadlineGate:
+    """The deadline gate must be able to fail on client-observed 200s."""
+
+    @staticmethod
+    def _verdict(monkeypatch, late_service_s):
+        def synthetic_run(spec, base_url):
+            records = [
+                {"status": 200, "latency_s": 0.01, "service_s": 0.01}
+                for _ in range(399)
+            ]
+            records.append({"status": 200, "latency_s": late_service_s,
+                            "service_s": late_service_s})
+            return loadgen._summarize_run(
+                spec, records, spec.duration_s, base_url, None, {},
+            )
+
+        monkeypatch.setattr(loadgen, "measure_capacity",
+                            lambda *args, **kwargs: 100.0)
+        monkeypatch.setattr(loadgen, "run_loadgen", synthetic_run)
+        monkeypatch.setattr(loadgen, "_fetch_admission", lambda url: {})
+        server = SimpleNamespace(base_url="http://127.0.0.1:1")
+        return loadgen.run_overload_check(server, duration_s=2.0)
+
+    def test_late_success_fails_the_verdict(self, monkeypatch):
+        # 2 s deadline + 0.25 s grace: a 200 served in 3 s is a violation.
+        verdict = self._verdict(monkeypatch, late_service_s=3.0)
+        assert verdict.goodput_floor_ok and verdict.accounting_exact
+        assert verdict.deadline_violations == 1
+        assert not verdict.ok
+
+    def test_on_time_successes_pass(self, monkeypatch):
+        verdict = self._verdict(monkeypatch, late_service_s=0.5)
+        assert verdict.deadline_violations == 0
+        assert verdict.ok
 
 
 # HTTP endpoints ------------------------------------------------------------------

@@ -201,7 +201,7 @@ class TestBreakerLifecycle:
             assert stats.balanced
             assert stats.failed_deadline == 2
             assert stats.shed_breaker == 1
-            assert stats.accepted_deadline_violations == 0
+            assert stats.accepted == 1
             assert auditor.clean
         finally:
             server.close()
