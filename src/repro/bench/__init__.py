@@ -2,11 +2,14 @@
 
 The harness times the merge machinery's named hot paths (SECDED page
 encode, page comparison, hash-key generation, Scan Table walks,
-event-queue churn, steady-state daemon scanning, and short end-to-end
-figure runs) and emits a schema-versioned ``BENCH_<timestamp>.json``
+event-queue churn, steady-state daemon scanning), checks the fleet,
+replication, serving and scenario tiers' determinism and robustness
+bits, and emits a schema-versioned ``BENCH_<timestamp>.json``
 snapshot.  ``--compare BASELINE.json`` diffs a fresh run against a
 committed baseline with per-metric tolerance verdicts — the CI
-``perf-smoke`` job gates on it.
+``perf-smoke`` job gates on it.  Whole-run timings of the paper's
+experiments live in ``perfbench/``; the paper's shape claims are
+asserted by the ``claims/`` suite.
 
 Absolute nanosecond costs vary with the host, so regression gating uses
 the machine-independent *in-run speedup ratios* (vectorized vs scalar

@@ -31,7 +31,8 @@ from repro.sim.engine import EventQueue
 
 #: Suite registry: name -> callable(quick) -> [Metric].  Order matters:
 #: ``repro bench`` runs them in registration order, cheap micro suites
-#: first, end-to-end runs last.
+#: first, whole-subsystem runs (fleet, replication, serve, scenarios)
+#: last.
 SUITES = {}
 
 
@@ -43,7 +44,7 @@ def suite(name):
 
 
 def run_suites(names, quick):
-    """Run the selected suites; returns (metrics, suites_run)."""
+    """Run the selected suites; returns their metrics in suite order."""
     metrics = []
     for name in names:
         metrics.extend(SUITES[name](quick))
@@ -282,37 +283,39 @@ def bench_event_queue(quick):
 # Steady-state scan -----------------------------------------------------------
 
 
-def _scan_throughput(daemon_cls, warmup_intervals, measure_intervals,
-                     n_vms=4, pages_per_vm=250):
-    """Steady-state pages scanned per CPU-second for one daemon class.
+def _scan_throughput(daemon_cls, fleets, warmup_intervals,
+                     measure_intervals):
+    """Steady-state pages scanned per CPU-second over ``fleets``.
 
-    Only the ``scan_pages`` calls are timed; churn writes between
-    intervals model guest activity and are excluded, exactly as the
-    paper's scan-rate numbers exclude guest work.  A *fixed* interval
-    count (rather than a time window) means the vectorized and scalar
-    daemons measure bit-identical work, which keeps their ratio stable
-    across runs — it feeds a CI gate.
+    ``fleets`` yields ``(hypervisor, churn_pages)`` fixtures; each gets
+    its own daemon, warmed for ``warmup_intervals`` and then measured
+    for ``measure_intervals``, and the rate pools every fleet's pages
+    and CPU time.  Only the ``scan_pages`` calls are timed; churn writes
+    between intervals model guest activity and are excluded, exactly as
+    the paper's scan-rate numbers exclude guest work.  A *fixed*
+    interval count (rather than a time window) means the vectorized and
+    scalar daemons measure bit-identical work, which keeps their ratio
+    stable across runs — it feeds a CI gate.
     """
-    hypervisor, churn_pages = build_scan_fleet(
-        n_vms=n_vms, pages_per_vm=pages_per_vm
-    )
     budget = 1000
-    daemon = daemon_cls(
-        hypervisor, KSMConfig(pages_to_scan=budget, hash_bytes=PAGE_BYTES)
-    )
-    stamp = 0
-    for _ in range(warmup_intervals):
-        stamp += 1
-        churn_tail(hypervisor, churn_pages, stamp)
-        daemon.scan_pages(budget)
     pages = 0
     scan_s = 0.0
-    for _ in range(measure_intervals):
-        stamp += 1
-        churn_tail(hypervisor, churn_pages, stamp)
-        t0 = time.process_time()
-        pages += daemon.scan_pages(budget).pages_scanned
-        scan_s += time.process_time() - t0
+    for hypervisor, churn_pages in fleets:
+        daemon = daemon_cls(
+            hypervisor,
+            KSMConfig(pages_to_scan=budget, hash_bytes=PAGE_BYTES),
+        )
+        stamp = 0
+        for _ in range(warmup_intervals):
+            stamp += 1
+            churn_tail(hypervisor, churn_pages, stamp)
+            daemon.scan_pages(budget)
+        for _ in range(measure_intervals):
+            stamp += 1
+            churn_tail(hypervisor, churn_pages, stamp)
+            t0 = time.process_time()
+            pages += daemon.scan_pages(budget).pages_scanned
+            scan_s += time.process_time() - t0
     return pages / scan_s
 
 
@@ -326,8 +329,12 @@ def bench_steady_state_scan(quick):
     """
     warmup = 3 if quick else 5
     intervals = 4 if quick else 10
-    vectorized = _scan_throughput(KSMDaemon, warmup, intervals)
-    scalar = _scan_throughput(ScalarKSMDaemon, warmup, intervals)
+    vectorized = _scan_throughput(
+        KSMDaemon, [build_scan_fleet()], warmup, intervals
+    )
+    scalar = _scan_throughput(
+        ScalarKSMDaemon, [build_scan_fleet()], warmup, intervals
+    )
     return [
         Metric("steady_state_scan.pages_per_s", vectorized, "pages/s"),
         Metric("steady_state_scan.scalar_pages_per_s", scalar, "pages/s"),
@@ -387,30 +394,18 @@ def bench_fleet(quick):
     )
 
     # Per-shard steady scan over the shared churn model.
-    budget = 1000
-    scan_pages = 0
-    scan_s = 0.0
-    for host_id in range(2):
-        hypervisor, churn_pages = build_shard_scan_fleet(
-            host_id, fleet_seed=spec.seed,
-            n_vms=2 if quick else 4,
-            pages_per_vm=100 if quick else 250,
-        )
-        daemon = KSMDaemon(
-            hypervisor,
-            KSMConfig(pages_to_scan=budget, hash_bytes=PAGE_BYTES),
-        )
-        stamp = 0
-        for _ in range(2):  # warm to steady state
-            stamp += 1
-            churn_tail(hypervisor, churn_pages, stamp)
-            daemon.scan_pages(budget)
-        for _ in range(2 if quick else 4):
-            stamp += 1
-            churn_tail(hypervisor, churn_pages, stamp)
-            t0 = time.process_time()
-            scan_pages += daemon.scan_pages(budget).pages_scanned
-            scan_s += time.process_time() - t0
+    scan_rate = _scan_throughput(
+        KSMDaemon,
+        (
+            build_shard_scan_fleet(
+                host_id, fleet_seed=spec.seed,
+                n_vms=2 if quick else 4,
+                pages_per_vm=100 if quick else 250,
+            )
+            for host_id in range(2)
+        ),
+        warmup_intervals=2, measure_intervals=2 if quick else 4,
+    )
 
     return [
         Metric("fleet.shard_run_ns", seq_ns / n_shards, "ns/shard",
@@ -418,37 +413,9 @@ def bench_fleet(quick):
         Metric("fleet.shards_per_s", 1e9 * n_shards / seq_ns, "shards/s"),
         Metric("fleet.reduce_ns_per_shard", reduce_ns / n_shards,
                "ns/shard", higher_is_better=False),
-        Metric("fleet.scan_pages_per_s", scan_pages / scan_s, "pages/s"),
+        Metric("fleet.scan_pages_per_s", scan_rate, "pages/s"),
         Metric("fleet.parallel_fingerprint_equal", fingerprints_equal,
                "bool", gate=True),
-    ]
-
-
-# End-to-end figure runs ------------------------------------------------------
-
-
-@suite("e2e_fig7")
-def bench_e2e_fig7(quick):
-    """One Figure 7 memory-savings run (merge-to-convergence)."""
-    from repro.sim import run_memory_savings
-
-    pages_per_vm = 120 if quick else 400
-    holder = {}
-
-    def run():
-        holder["result"] = run_memory_savings(
-            "moses", pages_per_vm=pages_per_vm, n_vms=4,
-            engine="pageforge", seed=2017,
-        )
-
-    elapsed = measure_once_ns(run)
-    result = holder["result"]
-    total_pages = pages_per_vm * 4
-    return [
-        Metric("e2e_fig7.run_ns", elapsed, "ns", higher_is_better=False),
-        Metric("e2e_fig7.pages_per_s", total_pages / (elapsed / 1e9),
-               "pages/s"),
-        Metric("e2e_fig7.savings_frac", result.savings_frac, "frac"),
     ]
 
 
@@ -629,24 +596,4 @@ def bench_scenarios(quick):
                "bool", gate=True),
         Metric("scenarios.footprints_equal",
                float(study.footprints_equal), "bool", gate=True),
-    ]
-
-
-@suite("e2e_fig9")
-def bench_e2e_fig9(quick):
-    """One short Figure 9 latency experiment (all three modes)."""
-    from repro.sim import SimulationScale, run_latency_experiment
-
-    scale = SimulationScale(
-        pages_per_vm=100 if quick else 250,
-        n_vms=2 if quick else 4,
-        duration_s=0.08 if quick else 0.2,
-        warmup_s=0.08 if quick else 0.25,
-    )
-
-    elapsed = measure_once_ns(
-        lambda: run_latency_experiment("moses", scale=scale, seed=2017)
-    )
-    return [
-        Metric("e2e_fig9.run_ns", elapsed, "ns", higher_is_better=False),
     ]

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.common.rng import DeterministicRNG
+from repro.common.units import PAGE_BYTES
 from repro.core import (
     INVALID_INDEX,
     PageForgeAPI,
@@ -110,12 +112,16 @@ class TestECCHashKey:
             validate_offsets((0, 16))  # wrong count
         assert validate_offsets((15, 31, 47, 63)) == (15, 31, 47, 63)
 
-    def test_custom_offsets(self, random_page):
-        a = ecc_hash_key(random_page, (0, 16, 32, 48))
-        b = ecc_hash_key(random_page, (3, 19, 35, 51))
-        # Different sample lines generally give different keys.
-        assert isinstance(b, int)
-        assert a != b or True  # keys may rarely coincide; type-checked
+    def test_custom_offsets(self):
+        """Retuned offsets (update_ECC_offset) shift which changes a key
+        sees: a write in line 17 is invisible to the default offsets and
+        visible once line 17 is sampled."""
+        page = DeterministicRNG(11, "offsets").bytes_array(PAGE_BYTES)
+        changed = page.copy()
+        changed[17 * 64] ^= 0xFF
+        default, retuned = (0, 16, 32, 48), (0, 17, 32, 48)
+        assert ecc_hash_key(changed, default) == ecc_hash_key(page, default)
+        assert ecc_hash_key(changed, retuned) != ecc_hash_key(page, retuned)
 
     def test_minikey_widths(self):
         code = np.array([0xAB, 0xCD, 1, 2, 3, 4, 5, 6], dtype=np.uint8)

@@ -4,7 +4,7 @@ Fast deterministic tests for each layer of ``repro.faults`` plus the
 hooks it plugs into: the engine's Scan-Table walk guards, the memory
 controller's read-path hook and pending-buffer accounting, the driver's
 retry/poison logic, and the degradation governor's state machine.  The
-slow end-to-end campaigns live in ``benchmarks/bench_fault_resilience``.
+end-to-end campaign claims live in ``claims/test_fault_resilience.py``.
 """
 
 import numpy as np
