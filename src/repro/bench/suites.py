@@ -19,14 +19,17 @@ import numpy as np
 from repro.bench.fixtures import build_scan_fleet, churn_tail
 from repro.bench.harness import Metric, measure_once_ns, measure_op_ns
 from repro.bench.scalar import ScalarKSMDaemon
-from repro.common.config import KSMConfig
+from repro.cache import SetAssocCache, SnoopBus
+from repro.common.config import KSMConfig, ProcessorConfig
 from repro.common.units import PAGE_BYTES
+from repro.core import ArbitrarySetStrategy, PageForgeAPI, PageForgeEngine
 from repro.ecc.hamming import _encode_words_swar, encode_pages
 from repro.ksm import compare as ksm_compare
 from repro.ksm.compare import compare_pages, compare_pages_scalar, pages_identical
 from repro.ksm.daemon import KSMDaemon
 from repro.ksm.jhash import KSM_CHECKSUM_INITVAL, jhash2, jhash2_batch
 from repro.ksm.rbtree import ContentRBTree, RBNode
+from repro.mem import MemoryController, PhysicalMemory
 from repro.sim.engine import EventQueue
 
 #: Suite registry: name -> callable(quick) -> [Metric].  Order matters:
@@ -242,6 +245,76 @@ def bench_scan_table_walk(quick):
     ]
 
 
+# PageForge line stream -------------------------------------------------------
+
+
+def _pass_through_hook(ppn, line_index, data, code):
+    """A fault hook that changes nothing (forces the per-line path)."""
+    return data, code, 0
+
+
+@suite("pageforge_stream")
+def bench_pageforge_stream(quick):
+    """PageForge comparator: batched page-pair reads vs the per-line path.
+
+    Two engines as the timed machine builds them (``line_sampling=8``,
+    a snoop bus with an empty L3, no ECC verification) compare the same
+    candidates against the same page sets.  One reads each page pair's
+    sampled lines in one controller call; the other has a no-op fault
+    hook armed, which forces the retained per-line path (one probe and
+    one ``read_line`` per line).  Call for call, both do bit-identical
+    simulated work, so the gated ratio isolates the line-path
+    implementation.
+    """
+    n_others = 31 if quick else 62
+    n_candidates = 4 if quick else 16
+    pages = _tail_divergent_pages(n_others + n_candidates)
+    memory = PhysicalMemory((n_others + n_candidates) * PAGE_BYTES)
+    ppns = []
+    for page in pages:
+        frame = memory.allocate()
+        frame.fill(page)
+        ppns.append(frame.ppn)
+    others, candidates = ppns[:n_others], ppns[n_others:]
+    min_time = 0.2 if quick else 0.4
+
+    def walker(per_line):
+        bus = SnoopBus()
+        bus.register_shared(SetAssocCache(ProcessorConfig().l3))
+        controller = MemoryController(0, memory, verify_ecc=False)
+        if per_line:
+            controller.fault_hook = _pass_through_hook
+        engine = PageForgeEngine(controller, bus=bus, line_sampling=8)
+        strategy = ArbitrarySetStrategy(PageForgeAPI(engine))
+
+        def run():
+            for candidate in candidates:
+                strategy.scan_set(candidate, others,
+                                  engine.stats.total_cycles / 2e9)
+        return run
+
+    comparisons = n_candidates * n_others
+    batched, per_line = walker(False), walker(True)
+    # Alternate short measurements of the two, so that a slow stretch
+    # of a shared host hits both sides rather than one.
+    batched_ns = per_line_ns = float("inf")
+    for _ in range(5):
+        batched_ns = min(batched_ns, measure_op_ns(
+            batched, ops_per_call=comparisons, min_time_s=min_time / 5,
+        ))
+        per_line_ns = min(per_line_ns, measure_op_ns(
+            per_line, ops_per_call=comparisons, min_time_s=min_time / 5,
+        ))
+    return [
+        Metric("pageforge_stream.ns_per_compare", batched_ns, "ns/cmp",
+               higher_is_better=False),
+        Metric("pageforge_stream.per_line_ns_per_compare", per_line_ns,
+               "ns/cmp", higher_is_better=False),
+        Metric("pageforge_stream.speedup_vs_scalar", per_line_ns / batched_ns,
+               "x", gate=True),
+    ]
+
+
 # Event queue -----------------------------------------------------------------
 
 
@@ -328,7 +401,9 @@ def bench_steady_state_scan(quick):
     same process, so the ratio isolates the hot-path implementations.
     """
     warmup = 3 if quick else 5
-    intervals = 4 if quick else 10
+    # Both tiers time 10 intervals: with 4, the ratio spread about
+    # +-25% between back-to-back runs, nearly the whole gate tolerance.
+    intervals = 10
     vectorized = _scan_throughput(
         KSMDaemon, [build_scan_fleet()], warmup, intervals
     )

@@ -30,6 +30,10 @@ class SnoopBus:
     def __init__(self, page_invalidation_scope="all"):
         self._private = []  # list of (core_id, [caches])
         self._l3 = None
+        # Presence index: line address -> number of registered caches
+        # holding an entry for it (in any state).  The caches keep it
+        # current; a probe for an absent address misses on one lookup.
+        self._presence = {}
         self.snoop_probes = 0
         self.supplied_from_cache = 0
         # "all" (coherence-exact) or "shared-only": large timing sims
@@ -39,9 +43,13 @@ class SnoopBus:
 
     def register_private(self, core_id, caches):
         """Register a core's private cache levels (L1, L2)."""
-        self._private.append((core_id, list(caches)))
+        caches = list(caches)
+        for cache in caches:
+            cache.attach_presence(self._presence)
+        self._private.append((core_id, caches))
 
     def register_shared(self, l3):
+        l3.attach_presence(self._presence)
         self._l3 = l3
 
     @property
@@ -57,6 +65,8 @@ class SnoopBus:
         serviced from the on-chip network.
         """
         self.snoop_probes += 1
+        if addr not in self._presence:
+            return ProbeResult(hit=False)
         for core_id, caches in self._private:
             if core_id == exclude_core:
                 continue
@@ -76,6 +86,24 @@ class SnoopBus:
                 return ProbeResult(hit=True, supplier="L3",
                                    was_dirty=state.is_dirty)
         return ProbeResult(hit=False)
+
+    def probe_all_miss(self, ppns, lines):
+        """Probe ``lines`` of every page in ``ppns`` in one step.
+
+        When no registered cache holds an entry for any of those lines,
+        every per-line :meth:`probe` would miss: count them all and
+        return True.  Otherwise count nothing and return False, and the
+        caller probes line by line.
+        """
+        presence = self._presence
+        if presence:
+            for ppn in ppns:
+                base = ppn * 64
+                for line in lines:
+                    if base + line in presence:
+                        return False
+        self.snoop_probes += len(ppns) * len(lines)
+        return True
 
     # Coherence transactions --------------------------------------------------------
 

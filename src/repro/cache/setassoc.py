@@ -5,6 +5,11 @@ from dataclasses import dataclass, field
 
 from repro.cache.mesi import MESIState
 
+# Identity checks against these replace the enum properties on the hot
+# paths (``state is not _INVALID`` is ``state.is_valid``).
+_INVALID = MESIState.INVALID
+_MODIFIED = MESIState.MODIFIED
+
 
 @dataclass
 class CacheStats:
@@ -54,21 +59,24 @@ class SetAssocCache:
         self.ways = config.ways
         # OrderedDict per set: LRU order is insertion order, maintained
         # with O(1) move_to_end / popitem instead of timestamp scans.
+        # The set of ``addr`` is ``self._sets[addr % self.n_sets]``,
+        # written out inline on every hot path below.
         self._sets = [OrderedDict() for _ in range(self.n_sets)]
         self.stats = CacheStats()
         self.mshrs = config.mshrs
         self._outstanding = 0
-
-    def _set_for(self, addr):
-        return self._sets[addr % self.n_sets]
+        # The snoop bus's presence index (addr -> number of registered
+        # caches holding an entry), set by :meth:`attach_presence`;
+        # None for a standalone cache.
+        self._presence = None
 
     # Lookup / insert -----------------------------------------------------------
 
     def lookup(self, addr, source="core", update_lru=True):
         """Return the line's MESI state, or None on miss."""
-        cache_set = self._set_for(addr)
+        cache_set = self._sets[addr % self.n_sets]
         entry = cache_set.get(addr)
-        if entry is None or entry.state is MESIState.INVALID:
+        if entry is None or entry.state is _INVALID:
             self.stats.misses += 1
             self.stats.misses_by_source[source] += 1
             return None
@@ -80,46 +88,54 @@ class SetAssocCache:
 
     def peek(self, addr):
         """State without affecting LRU or stats (for snoops/probes)."""
-        entry = self._set_for(addr).get(addr)
+        entry = self._sets[addr % self.n_sets].get(addr)
         if entry is None:
             return None
-        return entry.state if entry.state.is_valid else None
+        state = entry.state
+        return state if state is not _INVALID else None
 
     def insert(self, addr, state, source="core"):
         """Install a line; returns the evicted (addr, state, owner) or None."""
-        cache_set = self._set_for(addr)
+        cache_set = self._sets[addr % self.n_sets]
         existing = cache_set.get(addr)
         if existing is not None:
             existing.state = state
             existing.owner = source
             cache_set.move_to_end(addr)
             return None
+        presence = self._presence
         victim = None
         if len(cache_set) >= self.ways:
             lru_addr, lru_entry = cache_set.popitem(last=False)
             victim = (lru_addr, lru_entry.state, lru_entry.owner)
             self.stats.evictions += 1
             self.stats.evictions_by_source[source] += 1
-            if lru_entry.state.is_dirty:
+            if lru_entry.state is _MODIFIED:
                 self.stats.writebacks += 1
+            if presence is not None:
+                _release(presence, lru_addr)
         cache_set[addr] = _Entry(addr, state, source)
+        if presence is not None:
+            presence[addr] = presence.get(addr, 0) + 1
         return victim
 
     # Coherence actions ----------------------------------------------------------
 
     def set_state(self, addr, state):
-        entry = self._set_for(addr).get(addr)
+        entry = self._sets[addr % self.n_sets].get(addr)
         if entry is not None:
             entry.state = state
 
     def invalidate(self, addr):
         """Invalidate a line; returns True if it was present and dirty."""
-        cache_set = self._set_for(addr)
+        cache_set = self._sets[addr % self.n_sets]
         entry = cache_set.get(addr)
-        if entry is None or not entry.state.is_valid:
+        if entry is None or entry.state is _INVALID:
             return False
-        dirty = entry.state.is_dirty
+        dirty = entry.state is _MODIFIED
         del cache_set[addr]
+        if self._presence is not None:
+            _release(self._presence, addr)
         self.stats.invalidations += 1
         if dirty:
             self.stats.writebacks += 1
@@ -131,6 +147,18 @@ class SetAssocCache:
         for line_index in range(64):
             dirty_any |= self.invalidate(ppn * 64 + line_index)
         return dirty_any
+
+    def attach_presence(self, presence):
+        """Keep the bus's presence index in step with this cache.
+
+        Counts every entry already resident, then updates ``presence``
+        wherever an entry appears or disappears: the new-line branch of
+        :meth:`insert`, its LRU victim, and :meth:`invalidate`.
+        """
+        self._presence = presence
+        for cache_set in self._sets:
+            for addr in cache_set:
+                presence[addr] = presence.get(addr, 0) + 1
 
     # MSHR accounting -------------------------------------------------------------
 
@@ -158,3 +186,12 @@ class SetAssocCache:
             for entry in cache_set.values():
                 counts[entry.owner] += 1
         return dict(counts)
+
+
+def _release(presence, addr):
+    """Drop one holder of ``addr`` from a presence index."""
+    count = presence[addr] - 1
+    if count:
+        presence[addr] = count
+    else:
+        del presence[addr]

@@ -97,11 +97,13 @@ class PageForgeTreeStrategy:
         """
         capacity = self.api.table.n_entries
         nodes = []
+        children = []
         frontier = deque([start_node])
         while frontier and len(nodes) < capacity:
             node = frontier.popleft()
-            nodes.append(node)
             left, right = tree.children(node)
+            nodes.append(node)
+            children.append((left, right))
             if left is not None:
                 frontier.append(left)
             if right is not None:
@@ -110,8 +112,7 @@ class PageForgeTreeStrategy:
 
         self.api.clear_entries()
         is_last = True
-        for i, node in enumerate(nodes):
-            left, right = tree.children(node)
+        for i, (node, (left, right)) in enumerate(zip(nodes, children)):
             if left is not None and id(left) in index_of:
                 less = index_of[id(left)]
             else:

@@ -127,6 +127,46 @@ class PageForgeEngine:
             self.keygen.observe(line_index, ecc_code)
         return data, latency
 
+    def _dram_only(self, ppns, lines):
+        """Whether ``lines`` of ``ppns`` can be read in one controller call.
+
+        True when no fault hook is armed, ECC verification is off, and no
+        cache holds any of the lines (the bus counts the probes): then
+        every request goes to DRAM, and :meth:`_fetch_lines` gives the
+        per-line path's results.
+        """
+        controller = self.controller
+        return (
+            controller.fault_hook is None
+            and not controller.verify_ecc
+            and (self.bus is None or self.bus.probe_all_miss(ppns, lines))
+        )
+
+    def _fetch_lines(self, ppns, lines, time_seconds, step_cycles,
+                     missing):
+        """Fetch ``lines`` of ``ppns`` from DRAM in one controller call.
+
+        ``ppns[0]`` is the candidate; ``missing`` are the hash-key lines
+        still unobserved.  Returns each line's latency (the slowest
+        page's); the clock advances by it plus ``step_cycles`` per line,
+        as in the per-line loops.
+        """
+        controller = self.controller
+        coalesced_before = controller.stats.coalesced_requests
+        latencies, codes = controller.read_page_lines(
+            ppns, lines, AccessSource.PAGEFORGE, time_seconds, step_cycles,
+            code_lines=missing,
+        )
+        n = len(ppns) * len(lines)
+        self.stats.lines_fetched += n
+        self.stats.lines_from_dram += n
+        self.stats.lines_coalesced += (
+            controller.stats.coalesced_requests - coalesced_before
+        )
+        for line, code in codes.items():
+            self.keygen.observe(line, code)
+        return latencies
+
     # Page comparison ------------------------------------------------------------------
 
     def _compare_with_entry(self, candidate_ppn, other_ppn, time_seconds):
@@ -175,23 +215,33 @@ class PageForgeEngine:
         sampled = set(range(0, lines, self.line_sampling))
         # Lines the hash key still needs must take the real path so the
         # ECC code is observed (the hardware sees them regardless).
-        for line in self.keygen.missing_lines():
+        missing = self.keygen.missing_lines()
+        for line in missing:
             if line < lines:
                 sampled.add(line)
-        frequency = self.controller.dram.cpu_frequency_hz
-        lat_total = 0
-        cycles = 0
-        for line in sorted(sampled):
-            now = time_seconds + cycles / frequency
-            _da, lat_a = self._fetch_line(
-                candidate_ppn, line, now, is_candidate=True
-            )
-            _db, lat_b = self._fetch_line(
-                other_ppn, line, now, is_candidate=False
-            )
-            pair_lat = max(lat_a, lat_b)
-            lat_total += pair_lat
-            cycles += pair_lat + self.COMPARE_CYCLES_PER_LINE
+        sampled = sorted(sampled)
+        pair = (candidate_ppn, other_ppn)
+        if self._dram_only(pair, sampled):
+            lat_total = sum(self._fetch_lines(
+                pair, sampled, time_seconds, self.COMPARE_CYCLES_PER_LINE,
+                missing,
+            ))
+            cycles = lat_total + len(sampled) * self.COMPARE_CYCLES_PER_LINE
+        else:
+            frequency = self.controller.dram.cpu_frequency_hz
+            lat_total = 0
+            cycles = 0
+            for line in sampled:
+                now = time_seconds + cycles / frequency
+                _da, lat_a = self._fetch_line(
+                    candidate_ppn, line, now, is_candidate=True
+                )
+                _db, lat_b = self._fetch_line(
+                    other_ppn, line, now, is_candidate=False
+                )
+                pair_lat = max(lat_a, lat_b)
+                lat_total += pair_lat
+                cycles += pair_lat + self.COMPARE_CYCLES_PER_LINE
         est_per_line = lat_total / max(1, len(sampled))
         skipped = lines - len(sampled)
         cycles += int(
@@ -213,9 +263,15 @@ class PageForgeEngine:
 
     def _complete_hash_key(self, candidate_ppn, time_seconds):
         """Fetch any hash-offset lines the comparisons did not cover."""
+        missing = self.keygen.missing_lines()
+        if self._dram_only((candidate_ppn,), missing):
+            self.stats.hash_fill_reads += len(missing)
+            return sum(self._fetch_lines(
+                (candidate_ppn,), missing, time_seconds, 0, missing
+            ))
         cycles = 0
         frequency = self.controller.dram.cpu_frequency_hz
-        for line_index in self.keygen.missing_lines():
+        for line_index in missing:
             now = time_seconds + cycles / frequency
             _data, lat = self._fetch_line(
                 candidate_ppn, line_index, now, is_candidate=True

@@ -95,6 +95,7 @@ class ECCHashKeyGenerator:
         self._wanted = {
             line: section for section, line in enumerate(self.line_offsets)
         }
+        self._wanted_in_order = sorted(self._wanted.items())
         self._minikeys = {}
 
     def reset(self):
@@ -118,10 +119,11 @@ class ECCHashKeyGenerator:
 
     def missing_lines(self):
         """Line indices still needed to complete the key."""
+        minikeys = self._minikeys
         return [
             line
-            for line, section in sorted(self._wanted.items())
-            if section not in self._minikeys
+            for line, section in self._wanted_in_order
+            if section not in minikeys
         ]
 
     def key(self):

@@ -121,6 +121,19 @@ class DRAMModel:
         self._transfer_cycles = CACHE_LINE_BYTES / (
             self.config.bus_bytes * self.config.data_rate
         )
+        # CPU-cycle latency of each row-buffer outcome of a line access:
+        # (hit, closed bank, row conflict).  Public for callers that
+        # inline the access (the controller's batched read).
+        cfg = self.config
+        transfer = self._transfer_cycles
+        self.row_cycles = tuple(
+            int(round(mem_cycles * self._cycle_ratio))
+            for mem_cycles in (
+                cfg.t_cas + transfer,
+                0 + cfg.t_rcd + cfg.t_cas + transfer,
+                cfg.t_rp + cfg.t_rcd + cfg.t_cas + transfer,
+            )
+        )
 
     # Address mapping -----------------------------------------------------------
 
@@ -148,16 +161,15 @@ class DRAMModel:
     def access_line(self, ppn, line_index, is_write, source, time_seconds):
         """Perform one 64 B access; returns latency in CPU cycles."""
         source = getattr(source, "value", source)
-        cfg = self.config
+        hit, closed, conflict = self.row_cycles
         _channel, bank, row = self.map_line(ppn, line_index)
-        if self._open_rows[bank] == row:
+        open_row = self._open_rows[bank]
+        if open_row == row:
             self.stats.row_hits += 1
-            mem_cycles = cfg.t_cas + self._transfer_cycles
+            cycles = hit
         else:
             self.stats.row_misses += 1
-            closed = self._open_rows[bank] == -1
-            precharge = 0 if closed else cfg.t_rp
-            mem_cycles = precharge + cfg.t_rcd + cfg.t_cas + self._transfer_cycles
+            cycles = closed if open_row == -1 else conflict
             self._open_rows[bank] = row
         if is_write:
             self.stats.writes += 1
@@ -165,7 +177,7 @@ class DRAMModel:
             self.stats.reads += 1
         self.stats.bytes_by_source[source] += CACHE_LINE_BYTES
         self.bandwidth.record(time_seconds, CACHE_LINE_BYTES, source)
-        return int(round(mem_cycles * self._cycle_ratio))
+        return cycles
 
     def reset_rows(self):
         """Close all rows (e.g. between measurement phases)."""

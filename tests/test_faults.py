@@ -184,6 +184,57 @@ class TestControllerFaultPath:
         # And the fault never touched the stored frame.
         assert np.array_equal(frame.data, original)
 
+    def test_clean_reads_decode_without_reencoding(self, memory, rng,
+                                                   monkeypatch):
+        """Once a line's bytes have been encoded, a clean read of them
+        (no hook, or a hook that only delays) decodes to a copy without
+        another SECDED encode."""
+        mc = MemoryController(0, memory, verify_ecc=True)
+        frame = memory.allocate()
+        frame.fill(rng.bytes_array(PAGE_BYTES))
+        first, _data, _code = mc.read_line(
+            frame.ppn, 3, AccessSource.PAGEFORGE, 0.0
+        )
+
+        def no_encode(_words):
+            raise AssertionError("clean line was re-encoded")
+
+        monkeypatch.setattr("repro.ecc.engine.encode_words", no_encode)
+        _req, data, code = mc.read_line(
+            frame.ppn, 3, AccessSource.PAGEFORGE, 1.0
+        )
+        assert np.array_equal(data, frame.data[3 * 64:4 * 64])
+        assert not np.shares_memory(data, frame.data)
+        np.testing.assert_array_equal(code, encode_line(data))
+        injector = FaultInjector(FaultPlan(seed=3, latency_spike_rate=0.99))
+        injector.attach(controller=mc)
+        spiked, data, _code = mc.read_line(
+            frame.ppn, 3, AccessSource.PAGEFORGE, 2.0
+        )
+        assert injector.stats.latency_spikes == 1
+        assert spiked.latency > first.latency
+        assert np.array_equal(data, frame.data[3 * 64:4 * 64])
+        assert mc.ecc.stats.lines_decoded == 3
+        assert mc.ecc.stats.words_corrected == 0
+
+    def test_silent_corruption_passes_decode(self, memory, rng):
+        mc = MemoryController(0, memory, verify_ecc=True)
+        frame = memory.allocate()
+        original = rng.bytes_array(PAGE_BYTES)
+        frame.fill(original)
+        injector = FaultInjector(FaultPlan(seed=3, silent_rate=0.99))
+        injector.attach(controller=mc)
+        _req, data, code = mc.read_line(
+            frame.ppn, 2, AccessSource.PAGEFORGE, 0.0
+        )
+        assert injector.stats.silent_corruptions == 1
+        # SECDED sees a self-consistent codeword: the damage gets through.
+        assert not np.array_equal(data, original[2 * 64:3 * 64])
+        np.testing.assert_array_equal(code, encode_line(data))
+        assert mc.ecc.stats.words_corrected == 0
+        assert mc.ecc.stats.uncorrectable_errors == 0
+        assert np.array_equal(frame.data, original)
+
     def test_double_bit_fault_raises_uncorrectable(self, memory, rng):
         mc = MemoryController(0, memory, verify_ecc=True)
         frame = memory.allocate()

@@ -6,14 +6,33 @@ bit-for-bit, so a throughput optimisation can never silently change a
 merge decision, an ECC code, a checksum, or an event dispatch order.
 """
 
+from collections import Counter
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.cache import SetAssocCache, SnoopBus
+from repro.cache.bus import ProbeResult
+from repro.cache.mesi import MESIState
+from repro.common.config import CacheConfig, ProcessorConfig
 from repro.common.units import PAGE_BYTES
+from repro.core import PageForgeAPI, PageForgeEngine, miss_sentinel
 from repro.core.hashkey import ecc_hash_key
-from repro.ecc.hamming import _encode_words_swar, encode_page, encode_words
+from repro.ecc.engine import ECCEngine
+from repro.ecc.hamming import (
+    CODEWORD_BITS,
+    DecodeStatus,
+    _encode_words_swar,
+    decode_word,
+    encode_line,
+    encode_page,
+    encode_words,
+    inject_error,
+)
 from repro.ksm.compare import compare_pages, compare_pages_scalar
 from repro.ksm.jhash import jhash2, jhash2_batch, page_checksum
+from repro.mem import MemoryController, PhysicalMemory
+from repro.mem.requests import AccessSource
 from repro.sim.engine import EventQueue
 
 # Page pairs: a shared prefix of random length, then independent tails —
@@ -65,6 +84,52 @@ def test_ecc_hash_key_cached_codes_match_fresh_encode(seed):
     )
     codes = encode_page(page)
     assert ecc_hash_key(page) == ecc_hash_key(page, codes=codes)
+
+
+def _decode_line_reference(line_bytes, stored_code):
+    """SECDED line decode with a fresh encode of every line."""
+    line = np.array(line_bytes, dtype=np.uint8, copy=True)
+    words = line.view(np.uint64)
+    stored = np.asarray(stored_code, dtype=np.uint8)
+    ok, corrected = True, 0
+    for idx in np.nonzero(encode_words(words) != stored)[0]:
+        outcome = decode_word(int(words[idx]), int(stored[idx]))
+        if outcome.status in (DecodeStatus.CORRECTED,
+                              DecodeStatus.PARITY_BIT_ERROR):
+            words[idx] = np.uint64(outcome.word)
+            corrected += 1
+        elif outcome.status is DecodeStatus.UNCORRECTABLE:
+            ok = False
+    return line, ok, corrected
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 7),
+                       st.integers(0, CODEWORD_BITS - 1)), max_size=3),
+)
+@settings(max_examples=80)
+def test_memoized_line_decode_matches_fresh_encode(seed, flips):
+    line = np.random.default_rng(seed).integers(
+        0, 256, size=64, dtype=np.uint8
+    )
+    code = encode_line(line)
+    engine = ECCEngine()
+    engine.decode_line(line, code)  # the clean bytes are memoized now
+    words = line.copy().view(np.uint64)
+    checks = code.copy()
+    for word, bit in flips:
+        w, c = inject_error(int(words[word]), int(checks[word]), bit)
+        words[word], checks[word] = np.uint64(w), np.uint8(c)
+    damaged = words.view(np.uint8)
+    for _ in range(2):  # a memo miss, then a hit
+        out, ok = engine.decode_line(damaged, checks)
+        ref, ref_ok, _corrected = _decode_line_reference(damaged, checks)
+        assert ok == ref_ok
+        np.testing.assert_array_equal(out, ref)
+    _ref, _ok, corrected = _decode_line_reference(damaged, checks)
+    assert engine.stats.words_corrected == 2 * corrected
+    assert engine.stats.lines_decoded == 3
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 300))
@@ -151,3 +216,248 @@ def test_schedule_batch_interleaved_with_run(first, second):
     assert len(order) == len(first) + len(second)
     times_seen = [t for _tag, t, _i in order]
     assert times_seen == sorted(times_seen)
+
+
+# PageForge line path: the bus presence index, the batched controller
+# read and the engine's batched compare, each against the per-line path.
+
+_TINY_L1 = CacheConfig(name="L1", size_bytes=4 * 64, ways=2,
+                       round_trip_cycles=2, mshrs=4)
+_TINY_L2 = CacheConfig(name="L2", size_bytes=8 * 64, ways=2,
+                       round_trip_cycles=6, mshrs=4)
+_TINY_L3 = CacheConfig(name="L3", size_bytes=16 * 64, ways=4,
+                       round_trip_cycles=20, mshrs=4, shared=True)
+_STATES = list(MESIState)
+
+
+def _scan_probe(bus, addr, exclude_core=None):
+    """The ordered snoop scan, without the presence index."""
+    for core_id, caches in bus._private:
+        if core_id == exclude_core:
+            continue
+        for cache in caches:
+            state = cache.peek(addr)
+            if state is not None and state.can_supply:
+                return ProbeResult(hit=True, supplier=f"core-{core_id}",
+                                   was_dirty=state.is_dirty)
+    if bus.l3 is not None:
+        state = bus.l3.peek(addr)
+        if state is not None and state.can_supply:
+            return ProbeResult(hit=True, supplier="L3",
+                               was_dirty=state.is_dirty)
+    return ProbeResult(hit=False)
+
+
+def _registered_caches(bus):
+    caches = [cache for _core, level in bus._private for cache in level]
+    return caches + ([bus.l3] if bus.l3 is not None else [])
+
+
+def _recount(bus):
+    counts = Counter()
+    for cache in _registered_caches(bus):
+        for cache_set in cache._sets:
+            counts.update(cache_set.keys())
+    return dict(counts)
+
+
+# Line addresses over three pages: small enough that tiny caches evict
+# and that probes hit resident lines often.
+_addrs = st.integers(0, 3 * 64 - 1)
+_cache_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "lookup", "set_state", "invalidate",
+                         "invalidate_page", "register"]),
+        st.integers(0, 6),       # which cache (mod the registered count)
+        _addrs,
+        st.sampled_from(_STATES),
+    ),
+    max_size=80,
+)
+
+
+@given(_cache_ops, st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_bus_presence_index_tracks_every_registered_cache(ops, preload):
+    bus = SnoopBus()
+    for core_id in range(2):
+        bus.register_private(core_id, [SetAssocCache(_TINY_L1),
+                                       SetAssocCache(_TINY_L2)])
+    bus.register_shared(SetAssocCache(_TINY_L3))
+    # A core whose caches already hold lines when it registers.
+    late = [SetAssocCache(_TINY_L1), SetAssocCache(_TINY_L2)]
+    for i in range(preload * 5):
+        late[i % 2].insert((i * 7) % (3 * 64), MESIState.SHARED)
+    for op, which, addr, state in ops:
+        caches = _registered_caches(bus)
+        cache = caches[which % len(caches)]
+        if op == "insert":
+            cache.insert(addr, state)
+        elif op == "lookup":
+            cache.lookup(addr)
+        elif op == "set_state":
+            cache.set_state(addr, state)
+        elif op == "invalidate":
+            cache.invalidate(addr)
+        elif op == "invalidate_page":
+            cache.invalidate_page(addr // 64)
+        elif late is not None:
+            bus.register_private(2, late)
+            late = None
+        assert bus._presence == _recount(bus)
+        for exclude in (None, 0, 1, 2):
+            probes = bus.snoop_probes
+            assert bus.probe(addr, exclude) == _scan_probe(bus, addr, exclude)
+            assert bus.snoop_probes == probes + 1
+
+
+def _frames_and_controller(seed, n_pages=3):
+    memory = PhysicalMemory(n_pages * PAGE_BYTES)
+    rng = np.random.default_rng(seed)
+    for _ in range(n_pages):
+        memory.allocate().fill(
+            rng.integers(0, 256, size=PAGE_BYTES, dtype=np.uint8)
+        )
+    return memory, MemoryController(0, memory, verify_ecc=False)
+
+
+def _stats(stats):
+    """A stats dataclass as plain values (asdict cannot copy the
+    lambda-backed defaultdicts)."""
+    return {
+        name: dict(value) if isinstance(value, dict) else value
+        for name, value in vars(stats).items()
+    }
+
+
+def _controller_state(mc):
+    dram = mc.dram
+    return {
+        "mc": _stats(mc.stats),
+        "dram": _stats(dram.stats),
+        "rows": list(dram._open_rows),
+        "buckets": {b: dict(v) for b, v in dram.bandwidth._buckets.items()},
+        "totals": list(dram.bandwidth._totals.items()),
+        "pending": list(mc._pending_reads.items()),
+        "reads": [f.reads for f in mc.memory.frames()],
+    }
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 2), min_size=1, max_size=2),
+    st.sets(st.integers(0, 63), min_size=1, max_size=20),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 63),
+                       st.integers(-40, 400)), max_size=24),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 63)), max_size=12),
+    st.sets(st.integers(0, 63), max_size=4),
+    st.sampled_from([0, 8]),
+    # The second start time lies 40 cycles before a bandwidth-window
+    # boundary, so one call records into two windows.
+    st.sampled_from([1e-6, 0.005 - 2e-8]),
+)
+@settings(max_examples=100, deadline=None)
+def test_batched_page_read_matches_per_line_reads(
+        seed, ppns, lines, pending, warm, code_lines, step, time_seconds):
+    lines = sorted(lines)
+    runs = []
+    for batched in (False, True):
+        _memory, mc = _frames_and_controller(seed)
+        frequency = mc.dram.cpu_frequency_hz
+        for ppn, line in warm:  # open rows
+            mc.dram.access_line(ppn, line, False, "core", 0.0)
+        for ppn, line, cycles in pending:  # in flight or already done
+            mc._pending_reads[(ppn << 6) | line] = (
+                time_seconds + cycles / frequency
+            )
+        if batched:
+            latencies, codes = mc.read_page_lines(
+                ppns, lines, AccessSource.PAGEFORGE, time_seconds, step,
+                code_lines=code_lines,
+            )
+        else:
+            latencies, codes, cycles = [], {}, 0
+            for line in lines:
+                now = time_seconds + cycles / frequency
+                slowest = 0
+                for i, ppn in enumerate(ppns):
+                    request, _data, code = mc.read_line(
+                        ppn, line, AccessSource.PAGEFORGE, now
+                    )
+                    slowest = max(slowest, request.latency)
+                    if i == 0 and line in code_lines:
+                        codes[line] = code
+                latencies.append(slowest)
+                cycles += slowest + step
+        codes = {line: code.tolist() for line, code in codes.items()}
+        runs.append((latencies, codes, _controller_state(mc)))
+    assert runs[0] == runs[1]
+
+
+def _noop_fault_hook(ppn, line_index, data, code):
+    return data, code, 0
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 4, 8]),
+    st.lists(st.tuples(st.integers(0, 11), st.integers(0, 63),
+                       st.sampled_from(_STATES)), max_size=20),
+    st.integers(1, 6),
+)
+@settings(max_examples=40, deadline=None)
+def test_engine_batched_compare_matches_per_line(seed, sampling, cached,
+                                                 n_tables):
+    n_pages = 12
+    runs = []
+    for forced_per_line in (False, True):
+        rng = np.random.default_rng(seed)
+        memory = PhysicalMemory(n_pages * PAGE_BYTES)
+        base = rng.integers(0, 256, size=PAGE_BYTES, dtype=np.uint8)
+        for i in range(n_pages):
+            page = base.copy()
+            if i % 4:  # every fourth page is a duplicate of the base
+                cut = int(rng.integers(0, PAGE_BYTES))
+                page[cut:] = rng.integers(0, 256, size=PAGE_BYTES - cut,
+                                          dtype=np.uint8)
+            memory.allocate().fill(page)
+        bus = SnoopBus()
+        l3 = SetAssocCache(ProcessorConfig().l3)
+        bus.register_shared(l3)
+        private = SetAssocCache(_TINY_L2)
+        bus.register_private(0, [private])
+        for i, (ppn, line, state) in enumerate(cached):
+            (l3 if i % 2 else private).insert(ppn * 64 + line, state)
+        mc = MemoryController(0, memory, verify_ecc=False)
+        if forced_per_line:
+            mc.fault_hook = _noop_fault_hook
+        engine = PageForgeEngine(mc, bus=bus, line_sampling=sampling)
+        api = PageForgeAPI(engine)
+        outcomes = []
+        for _ in range(n_tables):
+            n_entries = int(rng.integers(1, 8))
+            others = rng.integers(0, n_pages, size=n_entries)
+            for i, ppn in enumerate(others):
+                # Links only point forward, so a walk never cycles.
+                less, more = (
+                    int(rng.integers(i + 1, n_entries + 1))
+                    for _ in range(2)
+                )
+                api.insert_PPN(
+                    i, int(ppn),
+                    less if less < n_entries else miss_sentinel(i, "left"),
+                    more if more < n_entries else miss_sentinel(i, "right"),
+                )
+            api.insert_PFE(int(rng.integers(0, n_pages)),
+                           last_refill=bool(rng.integers(0, 2)))
+            # Tables start a few hundred cycles apart: earlier reads are
+            # often still in flight, so requests coalesce.
+            engine.process_table(float(rng.integers(0, 400)) / 2e9)
+            outcomes.append(api.get_PFE_info())
+            api.table.clear_entries()
+        runs.append((
+            outcomes, _stats(engine.stats),
+            bus.snoop_probes, bus.supplied_from_cache,
+            _controller_state(mc),
+        ))
+    assert runs[0] == runs[1]
