@@ -109,6 +109,9 @@ class SnoopBus:
 
     def read_shared(self, addr, requesting_core):
         """A core read: demote remote M/E copies to S; return ProbeResult."""
+        self.snoop_probes += 1
+        if addr not in self._presence:
+            return ProbeResult(hit=False)
         result = ProbeResult(hit=False)
         for core_id, caches in self._private:
             if core_id == requesting_core:
@@ -127,11 +130,13 @@ class SnoopBus:
             if state is not None:
                 result = ProbeResult(hit=True, supplier="L3",
                                      was_dirty=state.is_dirty)
-        self.snoop_probes += 1
         return result
 
     def read_exclusive(self, addr, requesting_core):
         """A core write: invalidate all other copies; return ProbeResult."""
+        self.snoop_probes += 1
+        if addr not in self._presence:
+            return ProbeResult(hit=False)
         result = ProbeResult(hit=False)
         for core_id, caches in self._private:
             if core_id == requesting_core:
@@ -143,7 +148,6 @@ class SnoopBus:
                     result = ProbeResult(
                         hit=True, supplier=f"core-{core_id}", was_dirty=dirty
                     )
-        self.snoop_probes += 1
         return result
 
     def invalidate_page_everywhere(self, ppn):

@@ -142,10 +142,17 @@ class SetAssocCache:
         return dirty
 
     def invalidate_page(self, ppn):
-        """Invalidate every line of a page (used on CoW re-mapping)."""
+        """Invalidate every line of a page (used on CoW re-mapping).
+
+        Under a snoop bus, lines absent from its presence index are in no
+        registered cache, this one included, and are skipped.
+        """
+        presence = self._presence
+        base = ppn * 64
         dirty_any = False
-        for line_index in range(64):
-            dirty_any |= self.invalidate(ppn * 64 + line_index)
+        for addr in range(base, base + 64):
+            if presence is None or addr in presence:
+                dirty_any |= self.invalidate(addr)
         return dirty_any
 
     def attach_presence(self, presence):

@@ -86,6 +86,26 @@ class PageForgeAPI:
         """Invalidate the Other Pages array before a refill."""
         self.table.clear_entries()
 
+    def fill_entries(self, rows):
+        """One refill: ``insert_PPN(i, ppn, less, more)`` for the i-th of
+        ``rows``, then invalidate every entry after them.
+
+        The table ends as ``clear_entries`` followed by those
+        ``insert_PPN`` calls would leave it, with each entry written once.
+        """
+        entries = self.table.entries
+        if len(rows) > len(entries):
+            raise ValueError(
+                f"{len(rows)} rows for {len(entries)} Other Pages entries"
+            )
+        for entry, (ppn, less, more) in zip(entries, rows):
+            entry.valid = True
+            entry.ppn = int(ppn)
+            entry.less = int(less)
+            entry.more = int(more)
+        for entry in entries[len(rows):]:
+            entry.clear()
+
     def trigger(self, time_seconds=0.0):
         """Start the hardware; returns the cycles it ran for."""
         return self.engine.process_table(time_seconds)

@@ -14,7 +14,6 @@ candidate is compared against an arbitrary page set; the same machinery
 walks an explicit page graph.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.common.config import KSMConfig, PageForgeConfig, ResilienceConfig
@@ -26,7 +25,7 @@ from repro.core.scan_table import (
     is_miss_sentinel,
     miss_sentinel,
 )
-from repro.ksm.daemon import KSMDaemon, StaleNodeError, WalkFailure
+from repro.ksm.daemon import KSMDaemon, WalkFailure, node_ppn_resolver
 from repro.ksm.rbtree import WalkOutcome
 from repro.mem.controller import RequestDropped, UncorrectableLineError
 
@@ -69,63 +68,52 @@ class PageForgeTreeStrategy:
         self.cycles_consumed = 0  # engine cycles since last drain
         self.table_refills = 0
         self._freq = api.engine.controller.dram.cpu_frequency_hz
-
-    # Node helpers -------------------------------------------------------------------
-
-    def _node_ppn(self, node):
-        """Resolve a tree node to its current PPN; stale nodes raise."""
-        node.key()  # raises StaleNodeError if the backing page vanished
-        payload = node.payload
-        if payload[0] == "stable":
-            return payload[1]
-        if payload[0] == "unstable":
-            _tag, vm_id, gpn = payload
-            vm = self.hypervisor.vms.get(vm_id)
-            if vm is None:
-                raise StaleNodeError(f"VM{vm_id} destroyed")
-            return vm.mapping(gpn).ppn
-        raise ValueError(f"unknown node payload: {payload!r}")
+        self._resolve_ppn = node_ppn_resolver(hypervisor)
+        entries = range(api.table.n_entries)
+        self._left_misses = [miss_sentinel(i, "left") for i in entries]
+        self._right_misses = [miss_sentinel(i, "right") for i in entries]
 
     # Batch construction ----------------------------------------------------------------
 
     def _load_batch(self, tree, start_node):
-        """Breadth-first load of root + four levels (31 entries).
+        """Breadth-first load of up to ``n_entries`` nodes (root + four
+        levels of a balanced subtree: 31 entries).
 
         Every child pointer either names another in-batch index or a miss
         sentinel encoding (entry, direction), so the OS can always decode
-        where the hardware walk stopped.
+        where the hardware walk stopped.  All PPNs resolve before the
+        table is touched: a stale node raises and leaves it as it was.
         """
-        capacity = self.api.table.n_entries
-        nodes = []
-        children = []
-        frontier = deque([start_node])
-        while frontier and len(nodes) < capacity:
-            node = frontier.popleft()
-            left, right = tree.children(node)
-            nodes.append(node)
-            children.append((left, right))
-            if left is not None:
-                frontier.append(left)
-            if right is not None:
-                frontier.append(right)
-        index_of = {id(node): i for i, node in enumerate(nodes)}
-
-        self.api.clear_entries()
+        nodes, children = tree.breadth_first(
+            start_node, self.api.table.n_entries
+        )
+        resolve = self._resolve_ppn
+        ppns = [resolve(node) for node in nodes]
+        left_misses, right_misses = self._left_misses, self._right_misses
+        n_nodes = len(nodes)
+        rows = []
         is_last = True
-        for i, (node, (left, right)) in enumerate(zip(nodes, children)):
-            if left is not None and id(left) in index_of:
-                less = index_of[id(left)]
+        # breadth_first enqueues children in (left, right) order, so the
+        # k-th non-None child is the node at position k: in the batch
+        # while k < n_nodes.
+        position = 1
+        for i, (left, right) in enumerate(children):
+            if left is not None and position < n_nodes:
+                less = position
+                position += 1
             else:
-                less = miss_sentinel(i, "left")
+                less = left_misses[i]
                 if left is not None:
                     is_last = False
-            if right is not None and id(right) in index_of:
-                more = index_of[id(right)]
+            if right is not None and position < n_nodes:
+                more = position
+                position += 1
             else:
-                more = miss_sentinel(i, "right")
+                more = right_misses[i]
                 if right is not None:
                     is_last = False
-            self.api.insert_PPN(i, self._node_ppn(node), less, more)
+            rows.append((ppns[i], less, more))
+        self.api.fill_entries(rows)
         self.table_refills += 1
         return _Batch(nodes=nodes, is_last=is_last)
 
@@ -330,10 +318,11 @@ class ArbitrarySetStrategy:
         for batch_start in range(0, len(ppns), capacity):
             batch = ppns[batch_start : batch_start + capacity]
             is_last = batch_start + capacity >= len(ppns)
-            self.api.clear_entries()
+            rows = []
             for i, ppn in enumerate(batch):
                 nxt = i + 1 if i + 1 < len(batch) else miss_sentinel(i, "right")
-                self.api.insert_PPN(i, ppn, less=nxt, more=nxt)
+                rows.append((ppn, nxt, nxt))
+            self.api.fill_entries(rows)
             if first:
                 self.api.insert_PFE(candidate_ppn, last_refill=is_last, ptr=0)
                 first = False
@@ -361,11 +350,8 @@ class ArbitrarySetStrategy:
             # Load a single-entry batch for the current graph node; the
             # Less/More sentinels tell us which way the hardware went.
             ppn, less_target, more_target = graph[current]
-            self.api.clear_entries()
-            self.api.insert_PPN(
-                0, ppn,
-                less=miss_sentinel(0, "left"),
-                more=miss_sentinel(0, "right"),
+            self.api.fill_entries(
+                [(ppn, miss_sentinel(0, "left"), miss_sentinel(0, "right"))]
             )
             if first:
                 self.api.insert_PFE(candidate_ppn, last_refill=False, ptr=0)

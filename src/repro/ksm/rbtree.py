@@ -390,28 +390,35 @@ class ContentRBTree:
 
     # Structure helpers (for PageForge's breadth-first Scan-Table loads) -----------
 
-    def breadth_first_levels(self, start=None, max_levels=None):
-        """Nodes level by level from ``start`` (default: root).
+    def breadth_first(self, start, limit):
+        """The first ``limit`` nodes from ``start`` in breadth-first
+        order, and each one's ``(left, right)`` children (None for NIL).
 
         PageForge's driver loads "the root of the red-black tree ... and a
         few subsequent levels of the tree in breadth-first order" into the
-        Scan Table (Section 3.4).
+        Scan Table (Section 3.4).  Capping the node count rather than the
+        depth fills every entry even under an unbalanced subtree.  Children
+        are enqueued left before right, so the k-th non-None child in the
+        returned pairs (counting from 1) is the node at position k.
         """
-        start = start if start is not None else self.root
-        if start is self._nil or start is None:
-            return []
-        levels = []
-        frontier = [start]
-        while frontier and (max_levels is None or len(levels) < max_levels):
-            levels.append(frontier)
-            nxt = []
-            for node in frontier:
-                if node.left is not self._nil:
-                    nxt.append(node.left)
-                if node.right is not self._nil:
-                    nxt.append(node.right)
-            frontier = nxt
-        return levels
+        nil = self._nil
+        if start is nil or limit < 1:
+            return [], []
+        nodes = [start]
+        children = []
+        for node in nodes:  # grows while the cap allows
+            left = node.left
+            right = node.right
+            if left is nil:
+                left = None
+            elif len(nodes) < limit:
+                nodes.append(left)
+            if right is nil:
+                right = None
+            elif len(nodes) < limit:
+                nodes.append(right)
+            children.append((left, right))
+        return nodes, children
 
     def children(self, node):
         """(left, right) children, with None for NIL."""

@@ -86,19 +86,30 @@ class TestBasicOperations:
 class TestBreadthFirstLevels:
     def test_levels_from_root(self):
         tree = _build(list(range(7)))
-        levels = tree.breadth_first_levels()
-        assert len(levels[0]) == 1  # root
-        total = sum(len(level) for level in levels)
-        assert total == 7
+        nodes, children = tree.breadth_first(tree.root, len(tree))
+        assert nodes[0] is tree.root
+        assert len(nodes) == 7
+        assert {id(n) for n in nodes} == {id(n) for n in tree}
+        assert children == [tree.children(n) for n in nodes]
+        # Children come out in BFS order: the k-th one is node k.
+        in_order = [c for pair in children for c in pair if c is not None]
+        assert in_order == nodes[1:]
 
     def test_max_levels_limits(self):
         tree = _build(list(range(31)))
-        levels = tree.breadth_first_levels(max_levels=2)
-        assert len(levels) == 2
+        root = tree.root
+        nodes, children = tree.breadth_first(root, 3)
+        # A cap of 3 nodes takes exactly the first two levels.
+        assert nodes == [root, *tree.children(root)]
+        assert children == [tree.children(n) for n in nodes]
+        # Sequential inserts leave the right subtree the larger one.
+        nodes, _children = tree.breadth_first(root.right, 10)
+        assert len(nodes) == 10 and nodes[0] is root.right
+        assert tree.breadth_first(root, 0) == ([], [])
 
     def test_empty_tree_levels(self):
         tree = ContentRBTree()
-        assert tree.breadth_first_levels() == []
+        assert tree.breadth_first(tree.root, 31) == ([], [])
 
     def test_children_none_for_leaf(self):
         tree = _build([1])

@@ -6,17 +6,24 @@ bit-for-bit, so a throughput optimisation can never silently change a
 merge decision, an ECC code, a checksum, or an event dispatch order.
 """
 
-from collections import Counter
+from collections import Counter, deque
+from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import SetAssocCache, SnoopBus
 from repro.cache.bus import ProbeResult
 from repro.cache.mesi import MESIState
-from repro.common.config import CacheConfig, ProcessorConfig
+from repro.common.config import CacheConfig, PageForgeConfig, ProcessorConfig
 from repro.common.units import PAGE_BYTES
-from repro.core import PageForgeAPI, PageForgeEngine, miss_sentinel
+from repro.core import (
+    PageForgeAPI,
+    PageForgeEngine,
+    PageForgeTreeStrategy,
+    miss_sentinel,
+)
 from repro.core.hashkey import ecc_hash_key
 from repro.ecc.engine import ECCEngine
 from repro.ecc.hamming import (
@@ -30,10 +37,13 @@ from repro.ecc.hamming import (
     inject_error,
 )
 from repro.ksm.compare import compare_pages, compare_pages_scalar
+from repro.ksm.daemon import KSMDaemon, StaleNodeError, node_ppn_resolver
 from repro.ksm.jhash import jhash2, jhash2_batch, page_checksum
+from repro.ksm.rbtree import ContentRBTree, RBNode
 from repro.mem import MemoryController, PhysicalMemory
 from repro.mem.requests import AccessSource
 from repro.sim.engine import EventQueue
+from repro.virt import Hypervisor
 
 # Page pairs: a shared prefix of random length, then independent tails —
 # exercises equal pages, early divergence, and deep divergence.
@@ -309,6 +319,343 @@ def test_bus_presence_index_tracks_every_registered_cache(ops, preload):
             probes = bus.snoop_probes
             assert bus.probe(addr, exclude) == _scan_probe(bus, addr, exclude)
             assert bus.snoop_probes == probes + 1
+
+
+def _scan_read_shared(bus, addr, requesting_core):
+    """``SnoopBus.read_shared`` as an ordered scan of every cache."""
+    result = ProbeResult(hit=False)
+    for core_id, caches in bus._private:
+        if core_id == requesting_core:
+            continue
+        for cache in caches:
+            state = cache.peek(addr)
+            if state is not None and state.can_supply:
+                if state in (MESIState.MODIFIED, MESIState.EXCLUSIVE):
+                    cache.set_state(addr, MESIState.SHARED)
+                result = ProbeResult(hit=True, supplier=f"core-{core_id}",
+                                     was_dirty=state.is_dirty)
+    if bus.l3 is not None and not result.hit:
+        state = bus.l3.peek(addr)
+        if state is not None:
+            result = ProbeResult(hit=True, supplier="L3",
+                                 was_dirty=state.is_dirty)
+    bus.snoop_probes += 1
+    return result
+
+
+def _scan_read_exclusive(bus, addr, requesting_core):
+    """``SnoopBus.read_exclusive`` as an ordered scan of every cache."""
+    result = ProbeResult(hit=False)
+    for core_id, caches in bus._private:
+        if core_id == requesting_core:
+            continue
+        for cache in caches:
+            state = cache.peek(addr)
+            if state is not None and state.is_valid:
+                dirty = cache.invalidate(addr)
+                result = ProbeResult(hit=True, supplier=f"core-{core_id}",
+                                     was_dirty=dirty)
+    bus.snoop_probes += 1
+    return result
+
+
+def _scan_invalidate_page(cache, ppn):
+    """``SetAssocCache.invalidate_page`` as one invalidate per line."""
+    dirty_any = False
+    for line_index in range(64):
+        dirty_any |= cache.invalidate(ppn * 64 + line_index)
+    return dirty_any
+
+
+def _scan_invalidate_page_everywhere(bus, ppn):
+    for cache in _registered_caches(bus):
+        _scan_invalidate_page(cache, ppn)
+
+
+def _cache_state(cache):
+    """Every set's entries in LRU order, plus the cache's stats."""
+    return (
+        [[(addr, e.state, e.owner) for addr, e in cache_set.items()]
+         for cache_set in cache._sets],
+        _stats(cache.stats),
+    )
+
+
+def _bus_state(bus, standalone):
+    return (
+        [_cache_state(cache) for cache in _registered_caches(bus)],
+        _cache_state(standalone),
+        bus.snoop_probes, bus.supplied_from_cache, dict(bus._presence),
+    )
+
+
+_coherence_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "lookup", "set_state", "invalidate",
+                         "read_shared", "read_exclusive", "invalidate_page",
+                         "invalidate_page_everywhere"]),
+        st.integers(0, 6),       # which registered cache
+        st.integers(0, 3),       # requesting core (3 = none registered)
+        # Five lines on each of three pages: ops often find a line
+        # resident, and the tiny caches still evict.
+        st.builds(lambda page, line: page * 64 + line,
+                  st.integers(0, 2), st.sampled_from([0, 1, 5, 32, 63])),
+        st.sampled_from(_STATES),
+    ),
+    max_size=80,
+)
+
+
+@given(_coherence_ops)
+@settings(max_examples=80, deadline=None)
+def test_bus_presence_shortcuts_match_ordered_scan(ops):
+    """read_shared, read_exclusive and invalidate_page skip the cache
+    scan for an address no registered cache holds; the result must be
+    the ordered scan's, down to states, LRU order and stats.  A
+    standalone cache (no bus) keeps its per-line loop."""
+    runs = []
+    for shortcut in (True, False):
+        bus = SnoopBus()
+        for core_id in range(3):
+            bus.register_private(core_id, [SetAssocCache(_TINY_L1),
+                                           SetAssocCache(_TINY_L2)])
+        bus.register_shared(SetAssocCache(_TINY_L3))
+        standalone = SetAssocCache(_TINY_L2)
+        if shortcut:
+            read_shared, read_exclusive = bus.read_shared, bus.read_exclusive
+            invalidate_page = SetAssocCache.invalidate_page
+            everywhere = bus.invalidate_page_everywhere
+        else:
+            read_shared = partial(_scan_read_shared, bus)
+            read_exclusive = partial(_scan_read_exclusive, bus)
+            invalidate_page = _scan_invalidate_page
+            everywhere = partial(_scan_invalidate_page_everywhere, bus)
+        trace = []
+        for op, which, core, addr, state in ops:
+            cache = _registered_caches(bus)[which]
+            if op == "insert":
+                # The standalone cache sees every insert, and every
+                # page invalidation below.
+                out = (cache.insert(addr, state),
+                       standalone.insert(addr, state))
+            elif op == "lookup":
+                out = cache.lookup(addr)
+            elif op == "set_state":
+                out = cache.set_state(addr, state)
+            elif op == "invalidate":
+                out = cache.invalidate(addr)
+            elif op == "read_shared":
+                out = read_shared(addr, core)
+            elif op == "read_exclusive":
+                out = read_exclusive(addr, core)
+            elif op == "invalidate_page":
+                out = (invalidate_page(cache, addr // 64),
+                       invalidate_page(standalone, addr // 64))
+            else:
+                out = everywhere(addr // 64)
+            trace.append((out, _bus_state(bus, standalone)))
+            assert bus._presence == _recount(bus)
+        runs.append(trace)
+    assert runs[0] == runs[1]
+
+
+# Scan-Table refill: the one-pass load against today's BFS reference.
+
+
+def _reference_load_batch(api, hypervisor, tree, start_node):
+    """A Scan-Table load as a deque BFS with an ``id()`` index, a
+    ``clear_entries`` pass, and one ``insert_PPN`` per node after a
+    ``node.key()`` staleness test."""
+    capacity = api.table.n_entries
+    nodes, children = [], []
+    frontier = deque([start_node])
+    while frontier and len(nodes) < capacity:
+        node = frontier.popleft()
+        left, right = tree.children(node)
+        nodes.append(node)
+        children.append((left, right))
+        if left is not None:
+            frontier.append(left)
+        if right is not None:
+            frontier.append(right)
+    index_of = {id(node): i for i, node in enumerate(nodes)}
+    api.clear_entries()
+    is_last = True
+    for i, (node, (left, right)) in enumerate(zip(nodes, children)):
+        if left is not None and id(left) in index_of:
+            less = index_of[id(left)]
+        else:
+            less = miss_sentinel(i, "left")
+            if left is not None:
+                is_last = False
+        if right is not None and id(right) in index_of:
+            more = index_of[id(right)]
+        else:
+            more = miss_sentinel(i, "right")
+            if right is not None:
+                is_last = False
+        node.key()  # raises StaleNodeError for a stale node
+        if node.payload[0] == "stable":
+            ppn = node.payload[1]
+        else:
+            _tag, vm_id, gpn = node.payload
+            ppn = hypervisor.vms[vm_id].mapping(gpn).ppn
+        api.insert_PPN(i, ppn, less, more)
+    return nodes, is_last
+
+
+_N_VMS, _GPNS, _N_STABLE = 3, 12, 16
+_N_PAGES = _N_VMS * _GPNS + _N_STABLE  # guest pages first, then stable
+
+
+def _stale_tree(seed, n_members, removed, stale_ops):
+    """A mixed stable/unstable tree with daemon key functions, some of
+    whose nodes then go stale in each of the four ways."""
+    rng = np.random.default_rng(seed)
+    memory = PhysicalMemory((_N_PAGES + 8) * PAGE_BYTES)
+    hypervisor = Hypervisor(physical_memory=memory)
+    daemon = KSMDaemon(hypervisor)
+    vms = [hypervisor.create_vm(f"vm{i}") for i in range(_N_VMS)]
+    # Pages share a prefix of random length, so compares go deep.
+    base = rng.integers(0, 256, size=PAGE_BYTES, dtype=np.uint8)
+    contents = []
+    for _ in range(_N_PAGES):
+        page = base.copy()
+        cut = int(rng.integers(0, PAGE_BYTES))
+        page[cut:] = rng.integers(0, 256, size=PAGE_BYTES - cut,
+                                  dtype=np.uint8)
+        contents.append(page)
+    nodes = []
+    for k in range(_N_PAGES):
+        if k < _N_VMS * _GPNS:
+            vm, gpn = vms[k // _GPNS], k % _GPNS
+            hypervisor.populate_page(vm, gpn, contents[k], mergeable=True)
+            nodes.append(RBNode(daemon._unstable_key_fn(vm.vm_id, gpn),
+                                payload=("unstable", vm.vm_id, gpn)))
+        else:
+            frame = memory.allocate()
+            frame.fill(contents[k])
+            nodes.append(RBNode(daemon._stable_key_fn(frame.ppn),
+                                payload=("stable", frame.ppn)))
+    tree = ContentRBTree("mixed")
+    inserted = []
+    for k in rng.permutation(_N_PAGES)[:n_members]:
+        if tree.insert(nodes[k]).match is None:
+            inserted.append(nodes[k])
+    for k in removed:
+        if len(inserted) > 1:
+            tree.remove(inserted.pop(k % len(inserted)))
+    for how, k in stale_ops:
+        node = inserted[k % len(inserted)]
+        if node.payload[0] == "stable":
+            if memory.is_allocated(node.payload[1]):
+                memory.decref(node.payload[1])  # the stable frame frees
+            continue
+        _tag, vm_id, gpn = node.payload
+        vm = hypervisor.vms.get(vm_id)
+        if vm is None or not vm.is_mapped(gpn):
+            continue
+        if how == "destroy":
+            hypervisor.destroy_vm(vm)
+        elif how == "unmap":
+            vm.unmap(gpn)
+        else:  # merge it into another live page: both turn CoW
+            other = vms[(vm_id + 1) % _N_VMS]
+            if other.vm_id in hypervisor.vms and other.is_mapped(gpn):
+                hypervisor.merge_pages(other, gpn, vm, gpn, verify=False)
+    return hypervisor, tree, nodes
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, _N_PAGES),                 # pages inserted
+    st.lists(st.integers(0, _N_PAGES), max_size=6),   # then removed
+    st.lists(st.tuples(st.sampled_from(["destroy", "unmap", "merge"]),
+                       st.integers(0, _N_PAGES)), max_size=3),
+    st.lists(st.integers(0, _N_PAGES), min_size=1, max_size=6),
+    st.sampled_from([3, 7, 31]),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_pass_refill_matches_bfs_reference(
+        seed, n_members, removed, stale_ops, starts, n_entries):
+    hypervisor, tree, nodes = _stale_tree(
+        seed, n_members, removed, stale_ops
+    )
+    memory = hypervisor.memory
+    config = PageForgeConfig(other_pages_entries=n_entries)
+
+    def api():
+        mc = MemoryController(0, memory, verify_ecc=False)
+        return PageForgeAPI(PageForgeEngine(mc, config=config))
+
+    strategy = PageForgeTreeStrategy(api(), hypervisor)
+    reference_api = api()
+    reference_refills = 0
+    in_order = list(tree)
+    for pick in starts:
+        start = tree.root if pick == 0 else in_order[pick % len(in_order)]
+        table = strategy.api.table
+        before = [vars(e).copy() for e in table.entries]
+        try:
+            batch = strategy._load_batch(tree, start)
+        except StaleNodeError as exc:
+            with pytest.raises(StaleNodeError) as ref_exc:
+                _reference_load_batch(reference_api, hypervisor, tree, start)
+            assert str(exc) == str(ref_exc.value)
+            # Resolved before any write: the table is as it was.
+            assert [vars(e) for e in table.entries] == before
+        else:
+            ref_nodes, ref_last = _reference_load_batch(
+                reference_api, hypervisor, tree, start
+            )
+            reference_refills += 1
+            assert batch.nodes == ref_nodes
+            assert batch.is_last == ref_last
+            assert [vars(e) for e in table.entries] == [
+                vars(e) for e in reference_api.table.entries
+            ]
+        assert strategy.table_refills == reference_refills
+    # The resolver raises exactly where the key function does, and
+    # otherwise names the frame the key reads.
+    resolve = node_ppn_resolver(hypervisor)
+    for node in nodes:
+        try:
+            key = node.key()
+        except StaleNodeError as exc:
+            with pytest.raises(StaleNodeError) as res_exc:
+                resolve(node)
+            assert str(res_exc.value) == str(exc)
+        else:
+            assert memory.frame(resolve(node)).content_bytes == key
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 2**20), st.integers(-1, 400),
+                       st.integers(-1, 400)), max_size=7),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2**20)),
+             max_size=7),
+)
+@settings(max_examples=40, deadline=None)
+def test_fill_entries_matches_clear_and_insert(rows, prior):
+    def fresh_api():
+        memory = PhysicalMemory(PAGE_BYTES)
+        mc = MemoryController(0, memory, verify_ecc=False)
+        config = PageForgeConfig(other_pages_entries=7)
+        api = PageForgeAPI(PageForgeEngine(mc, config=config))
+        for index, ppn in prior:  # a previous load's leftovers
+            api.insert_PPN(index, ppn, index, index)
+        return api
+
+    filled, reference = fresh_api(), fresh_api()
+    filled.fill_entries(rows)
+    reference.clear_entries()
+    for i, (ppn, less, more) in enumerate(rows):
+        reference.insert_PPN(i, ppn, less, more)
+    assert [vars(e) for e in filled.table.entries] == [
+        vars(e) for e in reference.table.entries
+    ]
+    with pytest.raises(ValueError):
+        filled.fill_entries(rows + [(0, -1, -1)] * (8 - len(rows)))
 
 
 def _frames_and_controller(seed, n_pages=3):
