@@ -22,12 +22,7 @@ from repro.bench.scalar import ScalarKSMDaemon
 from repro.cache import SetAssocCache, SnoopBus
 from repro.common.config import KSMConfig, ProcessorConfig
 from repro.common.units import PAGE_BYTES
-from repro.core import (
-    ArbitrarySetStrategy,
-    PageForgeAPI,
-    PageForgeEngine,
-    PageForgeTreeStrategy,
-)
+from repro.core import ArbitrarySetStrategy, PageForgeAPI, PageForgeEngine
 from repro.ecc.hamming import _encode_words_swar, encode_pages
 from repro.ksm import compare as ksm_compare
 from repro.ksm.compare import compare_pages, compare_pages_scalar, pages_identical
@@ -36,7 +31,6 @@ from repro.ksm.jhash import KSM_CHECKSUM_INITVAL, jhash2, jhash2_batch
 from repro.ksm.rbtree import ContentRBTree, RBNode
 from repro.mem import MemoryController, PhysicalMemory
 from repro.sim.engine import EventQueue
-from repro.virt import Hypervisor
 
 #: Suite registry: name -> callable(quick) -> [Metric].  Order matters:
 #: ``repro bench`` runs them in registration order, cheap micro suites
@@ -318,41 +312,7 @@ def bench_pageforge_stream(quick):
                "ns/cmp", higher_is_better=False),
         Metric("pageforge_stream.speedup_vs_scalar", per_line_ns / batched_ns,
                "x", gate=True),
-        Metric("pageforge_stream.refill_ns_per_batch",
-               _refill_ns_per_batch(quick), "ns/batch",
-               higher_is_better=False),
     ]
-
-
-def _refill_ns_per_batch(quick):
-    """Host cost of one Scan-Table refill (the OS side of a batch).
-
-    A fixed seeded stable tree with the daemon's key functions; one
-    refill starts at each node in turn, so the batches run from full
-    31-entry loads near the root to single leaves.
-    """
-    n_nodes = 127 if quick else 511
-    memory = PhysicalMemory(n_nodes * PAGE_BYTES)
-    hypervisor = Hypervisor(physical_memory=memory)
-    daemon = KSMDaemon(hypervisor)
-    tree = ContentRBTree("bench-refill")
-    for page in _tail_divergent_pages(n_nodes, seed=2019):
-        frame = memory.allocate()
-        frame.fill(page)
-        tree.insert(RBNode(daemon._stable_key_fn(frame.ppn),
-                           payload=("stable", frame.ppn)))
-    controller = MemoryController(0, memory, verify_ecc=False)
-    strategy = PageForgeTreeStrategy(
-        PageForgeAPI(PageForgeEngine(controller)), hypervisor
-    )
-    starts = list(tree)
-
-    def run():
-        for start in starts:
-            strategy._load_batch(tree, start)
-
-    return measure_op_ns(run, ops_per_call=len(starts),
-                         min_time_s=0.1 if quick else 0.4)
 
 
 # Event queue -----------------------------------------------------------------

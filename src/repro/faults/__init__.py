@@ -2,7 +2,8 @@
 
 ``plan``     — what to break and how often (:class:`FaultPlan`);
 ``injector`` — realises a plan against the memory controller's read path
-               and the engine's Scan-Table walk (:class:`FaultInjector`);
+               and the engine's Scan-Table walk (:class:`FaultInjector`;
+               :func:`arm_bundle` arms one merge stack);
 ``governor`` — hysteretic PageForge -> software-KSM fallback
                (:class:`DegradationGovernor`);
 ``campaign`` — seeded chaos runs with per-interval invariant checks
@@ -19,6 +20,7 @@ from repro.faults.injector import (
     FaultInjectionStats,
     FaultInjector,
     ProcessCrash,
+    arm_bundle,
 )
 from repro.faults.plan import FaultPlan
 
@@ -29,6 +31,7 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "ProcessCrash",
+    "arm_bundle",
     "run_fault_campaign",
     "run_fault_suite",
 ]

@@ -120,11 +120,13 @@ def run_fault_campaign(app="moses", mode="pageforge", plan=None, seed=0,
         pages_to_scan=pages_per_interval or 2 * pages_per_vm * n_vms,
         fault_plan=plan,
     )
+    if not use_governor:
+        host.governor = None
     hypervisor = host.hypervisor
     merger = host.merger
     driver = host.bundle.driver if host.bundle is not None else None
     injector = host.injector
-    governor = host.governor if use_governor else None
+    governor = host.governor
 
     expected = _content_snapshot(hypervisor)
     content_violations = 0
@@ -132,21 +134,12 @@ def run_fault_campaign(app="moses", mode="pageforge", plan=None, seed=0,
     footprints = []
     try:
         for _interval in range(intervals):
-            if governor is not None:
-                driver.set_backend(governor.plan_interval())
-            if merger is not None:
-                host.scan()
-            if governor is not None:
-                governor.observe(*driver.fault_observations())
-            # VM lifecycle churn races the stale Scan-Table/tree state
-            # the next interval starts from.
-            destroyed = injector.maybe_destroy_vm(hypervisor)
+            destroyed = host.armed_interval()
             if destroyed is not None:
                 expected = {
                     key: digest for key, digest in expected.items()
                     if key[0] != destroyed
                 }
-            injector.maybe_unmerge_pages(hypervisor)
             content_violations += _content_violations(hypervisor, expected)
             try:
                 hypervisor.verify_consistency()
@@ -185,7 +178,7 @@ def run_fault_campaign(app="moses", mode="pageforge", plan=None, seed=0,
     if driver is not None:
         result.batch_retries = driver.fault_stats.batch_retries
         result.batches_abandoned = driver.fault_stats.batches_abandoned
-        controller = host.bundle.controller
+        controller = driver.engine.controller
         result.expired_reads = controller.stats.expired_reads
         result.corrected_words = controller.ecc.stats.words_corrected
         result.final_backend = driver.backend

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.common.rng import DeterministicRNG
 from repro.ecc.hamming import CODEWORD_BITS, encode_line, inject_error
+from repro.faults.governor import DegradationGovernor
 from repro.mem.controller import RequestDropped
 
 _WORDS_PER_LINE = 8
@@ -280,3 +281,21 @@ class FaultInjector:
                 count += 1
         self.stats.pages_unmerged += count
         return count
+
+
+def arm_bundle(bundle, plan):
+    """Arm a merge stack with ``plan``; returns ``(injector, governor)``.
+
+    A bundle with a PageForge driver gets the injector on its
+    controller's read path and engine walk, and a degradation governor
+    over the driver's resilience config.  Other bundles (and ``None``)
+    read memory through the CPU, immune to the line faults: their
+    injector only realises the VM-lifecycle and process chaos, and the
+    governor is ``None``.
+    """
+    injector = FaultInjector(plan)
+    driver = bundle.driver if bundle is not None else None
+    if driver is None:
+        return injector, None
+    injector.attach(controller=driver.engine.controller, engine=driver.engine)
+    return injector, DegradationGovernor(driver.strategy.resilience)

@@ -66,36 +66,6 @@ def capture_vm(hypervisor, vm_id):
     return VMImagePayload(name=vm.name, source_vm_id=vm_id, pages=pages)
 
 
-def _forget_vm(bundle, vm_id):
-    """Tear the merge machinery's memory of ``vm_id`` down.
-
-    Backend-shape aware: a KSM-family bundle (ksm/pageforge/uksm) drops
-    checksums and queued candidates and prunes tree nodes whose frames
-    died with the VM; an ESX-style bundle drops queued candidates and
-    prunes its hash buckets.  Stats counters are history, not state, and
-    stay.
-    """
-    daemon = bundle.daemon
-    if daemon is not None:
-        daemon._checksums = {
-            key: value for key, value in daemon._checksums.items()
-            if key[0] != vm_id
-        }
-        daemon._pass_queue = type(daemon._pass_queue)(
-            c for c in daemon._pass_queue if c.vm_id != vm_id
-        )
-        daemon._prune_stale(daemon.stable_tree)
-        daemon._prune_stale(daemon.unstable_tree)
-    merger = bundle.merger
-    if daemon is None and merger is not None and hasattr(merger, "_queue"):
-        merger._queue = [
-            (vm, mapping) for vm, mapping in merger._queue
-            if vm.vm_id != vm_id
-        ]
-        for key in list(getattr(merger, "_buckets", {})):
-            merger._prune_bucket(key)
-
-
 @dataclass
 class MigrationReport:
     """What one migration did, with the audit verdicts."""
@@ -136,7 +106,8 @@ def migrate_vm(src, dest, vm_id, auditor=None, rescan=True,
     # forget the VM.  Order matters — pruning walks the trees, and a
     # stale node is only detectable after its frame died.
     src.hypervisor.destroy_vm(src.hypervisor.vms[vm_id])
-    _forget_vm(src.bundle, vm_id)
+    if src.bundle is not None:
+        src.bundle.scanner.forget_vm(vm_id)
     if auditor is not None:
         src.audit(auditor)
 

@@ -344,6 +344,22 @@ class KSMDaemon:
         self.hints_accepted += accepted
         return accepted
 
+    # VM teardown -------------------------------------------------------------------
+
+    def forget_vm(self, vm_id):
+        """Drop a destroyed VM: its checksums, its queued candidates,
+        and tree nodes whose backing frame died with it.  Stats are
+        history, not state, and stay."""
+        self._checksums = {
+            key: value for key, value in self._checksums.items()
+            if key[0] != vm_id
+        }
+        self._pass_queue = type(self._pass_queue)(
+            c for c in self._pass_queue if c.vm_id != vm_id
+        )
+        self._prune_stale(self.stable_tree)
+        self._prune_stale(self.unstable_tree)
+
     # Tree search with stale pruning ------------------------------------------------
 
     def _walk_pruning(self, tree, frame, interval):

@@ -128,7 +128,7 @@ class ESXStyleMerger:
 
     # User-guided merge hints -------------------------------------------------------
 
-    def apply_hints(self, hints):
+    def enqueue_hints(self, hints):
         """Prepend hinted ``(vm_id, gpn)`` pages to the scan queue.
 
         ESX has no stability gate, so queue position *is* the whole fast
@@ -149,6 +149,18 @@ class ESXStyleMerger:
         self._queue[:0] = items
         self.hints_accepted += len(items)
         return len(items)
+
+    # VM teardown -------------------------------------------------------------------
+
+    def forget_vm(self, vm_id):
+        """Drop a destroyed VM's queued candidates and prune every
+        bucket of frames that died with it."""
+        self._queue = [
+            (vm, mapping) for vm, mapping in self._queue
+            if vm.vm_id != vm_id
+        ]
+        for key in list(self._buckets):
+            self._prune_bucket(key)
 
     # One pass ---------------------------------------------------------------------
 

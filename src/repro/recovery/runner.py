@@ -127,14 +127,14 @@ class RecoverableRun:
             seed=spec.seed, pages_to_scan=spec.scan_batch,
             fault_plan=spec.plan, state=_state,
         )
+        if not spec.use_governor:
+            self.host.governor = None
         self.hypervisor = self.host.hypervisor
-        self.merger = self.host.merger
         self.daemon = self.host.bundle.daemon
         self.driver = self.host.bundle.driver
-        self.controller = self.host.bundle.controller
         self.injector = self.host.injector
         self.injector.set_crash_attempt(self.attempt)
-        self.governor = self.host.governor if spec.use_governor else None
+        self.governor = self.host.governor
         if _state is not None:
             self.footprints = list(_state["footprints"])
             self.start_interval = _state["interval"]
@@ -214,13 +214,7 @@ class RecoverableRun:
         try:
             for interval in range(self.start_interval, spec.intervals):
                 self._maybe_stall(interval)
-                if self.governor is not None:
-                    self.driver.set_backend(self.governor.plan_interval())
-                self.merger.scan_pages(spec.scan_batch)
-                if self.governor is not None:
-                    self.governor.observe(*self.driver.fault_observations())
-                self.injector.maybe_destroy_vm(self.hypervisor)
-                self.injector.maybe_unmerge_pages(self.hypervisor)
+                self.host.armed_interval()
                 footprint = self.hypervisor.footprint_pages()
                 self.footprints.append(footprint)
                 self.journal.commit_interval(interval, footprint)
@@ -276,12 +270,11 @@ class RecoverableRun:
             engine_stats.pop("table_cycles", None)
             material["engine_stats"] = engine_stats
             material["fault_stats"] = asdict(self.driver.fault_stats)
-            material["ecc"] = asdict(self.controller.ecc.stats)
+            controller = self.driver.engine.controller
+            material["ecc"] = asdict(controller.ecc.stats)
+            dram = controller.dram.stats
             material["dram"] = [
-                self.controller.dram.stats.reads,
-                self.controller.dram.stats.writes,
-                self.controller.dram.stats.row_hits,
-                self.controller.dram.stats.row_misses,
+                dram.reads, dram.writes, dram.row_hits, dram.row_misses,
             ]
             material["backend"] = self.driver.backend
         if self.governor is not None:

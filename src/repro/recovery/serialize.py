@@ -505,6 +505,7 @@ def restore_governor(governor, state):
 
 def capture_churner(churner):
     return {
+        "fraction_per_tick": churner.fraction_per_tick,
         "stamp": churner._stamp,
         "writes_issued": churner.writes_issued,
         "rng": churner.rng.get_state(),
@@ -512,6 +513,7 @@ def capture_churner(churner):
 
 
 def restore_churner(churner, state):
+    churner.fraction_per_tick = state["fraction_per_tick"]
     churner._stamp = state["stamp"]
     churner.writes_issued = state["writes_issued"]
     churner.rng.set_state(state["rng"])

@@ -11,7 +11,8 @@ layers: :mod:`repro.workloads.memimage` image templates,
 * **images** — ``image_profile()`` / ``build_images()`` decide the
   page-category mix and boot the guests (memimage port);
 * **churn** — ``churn_fraction()`` / ``make_churner()`` decide how hard
-  guests overwrite their churn pages (WriteChurner port);
+  guests overwrite their churn pages (WriteChurner port, timed and
+  untimed hosts alike);
 * **arrivals** — ``arrival_qps()`` scales the per-VM offered load the
   timed simulator's :class:`~repro.workloads.tailbench.ArrivalProcess`
   draws from (sim/load port);
@@ -19,7 +20,7 @@ layers: :mod:`repro.workloads.memimage` image templates,
   ``serve_light_kind`` are the op mix ``repro loadgen`` fires at a live
   :class:`~repro.serve.server.MergeServer` (serve port);
 * **hints** — ``merge_hints()`` names guest-known identical regions for
-  the backend hint fast path (``MergeBackend.apply_hints``).
+  the backend hint fast path (``repro.sim.backends.offer_hints``).
 
 Every hook is a pure function of its arguments and the RNG it is
 handed — scenarios own no RNG state, so callers keep full control of
@@ -93,8 +94,8 @@ class WorkloadModel:
 
         Default: none.  Scenarios modelling guest cooperation (the
         serverless fleet) return the regions the guest *knows* are
-        identical across sandboxes; backends honor or explicitly ignore
-        them via ``MergeBackend.apply_hints``.
+        identical across sandboxes; ``repro.sim.backends.offer_hints``
+        hands them to the backend's scanner, or counts them ignored.
         """
         return ()
 

@@ -79,22 +79,6 @@ class ServerlessScenario(WorkloadModel):
         return tuple(hints)
 
 
-def apply_bundle_hints(bundle, hints):
-    """Apply merge hints to a functional :class:`MergerBundle`.
-
-    Returns the number of hints accepted.  Bundles whose merging stack
-    has no hint support (baseline) accept none.
-    """
-    if not hints:
-        return 0
-    if bundle.daemon is not None:
-        return bundle.daemon.enqueue_hints(hints)
-    merger = bundle.merger
-    if merger is not None and hasattr(merger, "apply_hints"):
-        return merger.apply_hints(hints)
-    return 0
-
-
 @dataclass(frozen=True)
 class ColdStartStudy:
     """Hinted-vs-unhinted cold-start measurement for one backend."""
@@ -188,6 +172,7 @@ def run_cold_start_study(backend="ksm", app="moses", n_sandboxes=8,
     # Imported lazily: this module is imported by repro.scenarios at
     # package init, before repro.sim exists on some import paths.
     from repro.common.config import KSMConfig
+    from repro.sim.backends import offer_hints
     from repro.sim.host import FunctionalHost
     from repro.verify.invariants import InvariantAuditor
 
@@ -202,7 +187,7 @@ def run_cold_start_study(backend="ksm", app="moses", n_sandboxes=8,
         )
         auditor = host.attach_auditor(InvariantAuditor())
         hints = tuple(spec.model().merge_hints(host.images))
-        accepted = apply_bundle_hints(host.bundle, hints) if hinted else 0
+        accepted = offer_hints(host.bundle, hints)["accepted"] if hinted else 0
         budget = scan_budget if scan_budget else max(1, len(hints))
         footprints = [host.footprint()]
         stable = 0

@@ -4,11 +4,12 @@ Importing this package registers the five built-in configurations —
 ``baseline``, ``ksm``, ``pageforge`` (the paper's three) plus ``uksm``
 and ``esx`` (Section 7.2's related designs) — so
 ``get_backend(name)`` is the single dispatch point everywhere a mode
-string used to be compared.
+string used to be compared, and :func:`offer_hints` the one way merge
+hints reach any backend's :class:`MergerBundle`.
 """
 
 # Importing the implementation modules is what registers them.
-from repro.sim.backends.base import MergeBackend, MergerBundle
+from repro.sim.backends.base import MergeBackend, MergerBundle, offer_hints
 from repro.sim.backends.baseline import BaselineBackend
 from repro.sim.backends.cachecost import CacheCostSink
 from repro.sim.backends.esx import ESXBackend
@@ -33,6 +34,7 @@ __all__ = [
     "UKSMBackend",
     "available_backends",
     "get_backend",
+    "offer_hints",
     "recoverable_backends",
     "register_backend",
 ]

@@ -1,17 +1,16 @@
 """The MergeBackend protocol: what a merging configuration must provide.
 
-A backend has two faces:
+A backend has two faces over one :class:`MergerBundle`:
 
 * **Timed** (instance methods): wired into a live
   :class:`~repro.sim.system.ServerSystem`.  ``build()`` constructs the
-  merging machinery against the system's hypervisor/controllers,
-  ``start()`` schedules the first wake on the event queue, and the
-  backend thereafter drives itself via
+  merging machinery against the system's hypervisor/controllers and
+  sets ``self.bundle``, ``start()`` schedules the first ``_wake`` on
+  the event queue, and the backend thereafter drives itself via
   ``ServerSystem.schedule_kernel_chunk``.  ``summarize()`` folds
-  backend-specific columns into the experiment's ``LatencySummary``,
+  backend-specific columns into the experiment's ``LatencySummary`` and
   ``register_metrics()`` publishes counters into the system's
-  :class:`~repro.sim.metrics.MetricsRegistry`, and ``attach_auditor()``
-  is the audit boundary the invariant checker wires through.
+  :class:`~repro.sim.metrics.MetricsRegistry`.
 
 * **Functional** (classmethods): the untimed merging stack the
   Figure 7 savings runner and the crash-safe recovery runner drive
@@ -21,29 +20,53 @@ A backend has two faces:
   boundary ``recovery.serialize`` used to reach into ``ServerSystem``
   internals for.
 
+Every question a caller asks of a merge stack is answered once over
+the bundle, for both faces: :func:`offer_hints` (user-guided merge
+hints), ``InvariantAuditor.attach_bundle`` (audit wiring),
+``repro.faults.arm_bundle`` (fault injection), and the scanner's
+``forget_vm`` (VM teardown).  A ``None`` bundle is the no-merging
+baseline.
+
 The base class implements the no-merging behaviour, so ``baseline`` is
-a nearly empty subclass and every hook is optional for new backends.
+an empty subclass and every hook is optional for new backends.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 
 @dataclass
 class MergerBundle:
-    """The functional (untimed) merging stack one backend builds.
+    """The merging stack one backend builds.
 
     ``merger`` is the scannable front object (``scan_pages(n)`` +
     ``.stats``); ``daemon`` is the underlying KSM daemon when the
-    backend has one (trees for the invariant auditor), else ``None``.
+    backend has one (trees for the invariant auditor), else ``None``;
+    ``driver`` is the PageForge driver (engine, controller, fault
+    observations) when there is one, else ``None``.
     """
 
-    kind: str
-    merger: Any = None
+    merger: Any
     daemon: Any = None
     driver: Any = None
-    controller: Any = None
-    extras: dict = field(default_factory=dict)
+
+    @property
+    def scanner(self):
+        """The object holding the scan queue: it takes merge hints
+        (``enqueue_hints``) and forgets destroyed VMs (``forget_vm``)."""
+        return self.daemon if self.daemon is not None else self.merger
+
+
+def offer_hints(bundle, hints):
+    """Offer guest-known identical ``(vm_id, gpn)`` pages to a bundle.
+
+    Returns ``{"accepted": n, "ignored": m}``.  Hints are advisory: a
+    ``None`` bundle (baseline, no scanner to fast-path) ignores every
+    hint and counts it, and the scanner rejects pages it cannot merge.
+    """
+    hints = tuple(hints)
+    accepted = 0 if bundle is None else bundle.scanner.enqueue_hints(hints)
+    return {"accepted": accepted, "ignored": len(hints) - accepted}
 
 
 class MergeBackend:
@@ -54,6 +77,8 @@ class MergeBackend:
     #: Whether ``recovery.runner.RecoverableRun`` can checkpoint/resume
     #: this backend (needs a daemon whose trees serialize).
     supports_recovery = False
+    #: Set by ``build()``; ``None`` means no merging machinery.
+    bundle: Optional[MergerBundle] = None
 
     def __init__(self, system):
         self.system = system
@@ -64,33 +89,19 @@ class MergeBackend:
         """Construct merging machinery against ``self.system``."""
 
     def start(self, events):
-        """Schedule the first wake (no-op for non-merging backends)."""
+        """Schedule the first wake (no-op without merging machinery)."""
+        if self.bundle is not None:
+            events.schedule(0.001, self._wake)
 
-    def attach_auditor(self, auditor):
-        """Wire an InvariantAuditor to this backend's components."""
-        auditor.attach_hypervisor(self.system.hypervisor)
-        return auditor
-
-    # User-guided merge hints (optional fast path) --------------------------------
-
-    #: Whether this backend honors user-guided merge hints.  Backends
-    #: that leave it False still *accept* ``apply_hints`` calls — hints
-    #: are advisory, so ignoring them must be explicit and counted, not
-    #: an AttributeError.
-    supports_hints = False
-
-    def apply_hints(self, hints):
-        """Offer guest-known identical pages to the merging machinery.
-
-        ``hints`` is an iterable of ``(vm_id, gpn)`` pairs.  Returns an
-        accounting dict ``{"accepted": n, "ignored": m}``.  The base
-        implementation (and therefore ``baseline``) explicitly ignores
-        every hint: there is no scanner to fast-path.
-        """
-        return {"accepted": 0, "ignored": len(tuple(hints))}
+    def _sleep_then_wake(self):
+        sleep_s = self.system.machine.ksm.sleep_millisecs / 1000.0
+        self.system.events.schedule_in(sleep_s, self._wake)
 
     def register_metrics(self, registry):
         """Publish backend counters into the system's MetricsRegistry."""
+        bundle = self.bundle
+        if bundle is not None and bundle.daemon is not None:
+            registry.register("ksm_daemon", lambda: bundle.daemon.stats)
 
     def summarize(self, summary):
         """Fold backend-specific columns into a LatencySummary."""
@@ -114,20 +125,3 @@ class MergeBackend:
     def restore_functional(cls, bundle, state):
         """Restore state captured by :meth:`capture_functional`."""
         raise ValueError(f"backend {cls.name!r} does not restore state")
-
-    # Timed-state face (delegates to the functional codecs) -----------------------
-
-    #: Set by subclasses whose timed build produces a bundle.
-    bundle: Optional[MergerBundle] = None
-
-    def capture_state(self):
-        """Snapshot the timed backend's merging state."""
-        if self.bundle is None:
-            return None
-        return type(self).capture_functional(self.bundle)
-
-    def restore_state(self, state):
-        if self.bundle is None or state is None:
-            return self
-        type(self).restore_functional(self.bundle, state)
-        return self

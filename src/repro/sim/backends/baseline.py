@@ -8,10 +8,10 @@ from repro.sim.backends.registry import register_backend
 class BaselineBackend(MergeBackend):
     """Same-page merging disabled; every hook stays a no-op.
 
-    The base class already audits the hypervisor and schedules nothing,
-    so this class only exists to make "no merging" a first-class
-    registry entry rather than a fall-through.  User-guided merge hints
-    are explicitly ignored (``supports_hints = False``): with no scanner
-    there is nothing to fast-path, and ``apply_hints`` reports every
-    hint as ignored rather than silently dropping it.
+    The base class builds no bundle, schedules nothing, and registers
+    no counters, so this class only exists to make "no merging" a
+    first-class registry entry rather than a fall-through.  With no
+    bundle the auditor wraps the bare hypervisor, and ``offer_hints``
+    reports every user-guided merge hint as ignored rather than
+    silently dropping it.
     """

@@ -1,14 +1,60 @@
-"""The KSM daemon's cache-cost sink (moved here from ``sim.system``).
+"""The software scanner's cost model: CPU cycles and memory stalls.
 
-Streams the software daemon's touched lines through the real cache
-hierarchy of whichever core currently hosts the ksmd thread, so the
-stall cycles and L3 displacement of scanning are *measured* rather than
-assumed — the pollution mechanism of Section 3.1.
+:class:`CacheCostSink` streams the KSM daemon's touched lines through
+the real cache hierarchy of whichever core currently hosts the ksmd
+thread, so the stall cycles and L3 displacement of scanning are
+*measured* rather than assumed — the pollution mechanism of Section
+3.1.  :func:`floored_scan_stalls` is the bulk estimate for software
+scans with no sink wired (ESX-style merging, PageForge's degraded
+intervals), and :func:`software_scan_cycles` is the CPU side every
+software scan interval shares.
 """
 
 import math
 
 from repro.ksm.daemon import StaleNodeError
+
+#: Per-candidate bookkeeping cycles of the KSM daemon: rmap lookup,
+#: page-table walks, tree maintenance, locking — the ~33% "other" share
+#: of the paper's Table 4.
+KSM_CYCLES_PER_PAGE = 20_000.0
+
+
+def software_scan_cycles(compare_bytes, hash_bytes, pages_scanned,
+                         cycles_per_page=KSM_CYCLES_PER_PAGE):
+    """``(compare, hash, other)`` CPU cycles of one software scan interval.
+
+    Word-wise memcmp at 8 B/cycle over both pages, jhash2 at ~3
+    cycles/byte (the kernel routine's measured rate), and per-candidate
+    bookkeeping plus a fixed per-interval wake cost.  Memory stalls are
+    not included: a cache sink measures them or
+    :func:`floored_scan_stalls` estimates them.
+    """
+    compare = compare_bytes * 2 / 6.0
+    hashing = float(hash_bytes) * 3.0
+    other = pages_scanned * cycles_per_page + 2000.0
+    return compare, hashing, other
+
+
+def floored_scan_stalls(system, stream_bytes, now):
+    """Stall cycles of ``stream_bytes`` streamed with no cache sink.
+
+    The miss fraction is the full-scale floor (the sink floors its
+    measured fraction the same way); the misses are recorded as ksm
+    DRAM traffic and the whole stream as L3 pollution.
+    """
+    scale = system.scale
+    lines = stream_bytes // 64
+    miss_cost = (
+        scale.core_memory_overhead_cycles + scale.dram_latency_cycles
+    )
+    stalls = lines * scale.scan_miss_floor * miss_cost
+    dram_bytes = int(lines * 64 * scale.scan_miss_floor)
+    if dram_bytes:
+        system.dram.stats.bytes_by_source["ksm"] += dram_bytes
+        system.dram.bandwidth.record(system._mem_now, dram_bytes, "ksm")
+    system.add_pollution(lines * 64, now)
+    return stalls
 
 
 class CacheCostSink:

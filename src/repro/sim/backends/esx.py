@@ -7,14 +7,19 @@ collisions) into the timed system on the same chunk path KSM uses.
 ESX's cost shape differs from KSM's: there is no tree to maintain (far
 less bookkeeping per page) but every scanned page is hashed in full —
 4 KB through jhash2 instead of KSM's 1 KB change-detection window.  The
-chunk cost mirrors the KSM formula at the same per-byte rates, with
-memory stalls estimated in bulk (miss fraction floored at the
-full-scale value) like the PageForge software-fallback interval — the
-ESX merger has no cache-cost sink wired.
+chunk cost is the shared software-scan model
+(:mod:`~repro.sim.backends.cachecost`) with ESX's bookkeeping rate,
+and memory stalls estimated in bulk like the PageForge
+software-fallback interval — the ESX merger has no cache-cost sink
+wired.
 """
 
 from repro.ksm.esx import ESXStyleMerger
 from repro.sim.backends.base import MergeBackend, MergerBundle
+from repro.sim.backends.cachecost import (
+    floored_scan_stalls,
+    software_scan_cycles,
+)
 from repro.sim.backends.registry import register_backend
 
 PAGE_BYTES = 4096
@@ -38,20 +43,12 @@ class ESXBackend(MergeBackend):
     def build(self):
         system = self.system
         self.merger = ESXStyleMerger(system.hypervisor)
-        self.bundle = MergerBundle(kind=self.name, merger=self.merger)
-        system.esx = self.merger
-
-    def start(self, events):
-        events.schedule(0.001, self._wake)
+        self.bundle = MergerBundle(merger=self.merger)
 
     def _wake(self):
         self.system.schedule_kernel_chunk(
             self._run_chunk, on_done=self._sleep_then_wake
         )
-
-    def _sleep_then_wake(self):
-        sleep_s = self.system.machine.ksm.sleep_millisecs / 1000.0
-        self.system.events.schedule_in(sleep_s, self._wake)
 
     def _run_chunk(self):
         """Execute one bucket-scan interval; returns core occupancy (s)."""
@@ -59,28 +56,17 @@ class ESXBackend(MergeBackend):
         now = system.events.now
         system.churner.tick()
         interval = self.merger.scan_pages(system.machine.ksm.pages_to_scan)
-        scale = system.scale
         # Every scanned page is hashed in full (the ESX key must
         # discriminate, not just detect writes); compares happen only on
-        # bucket collisions.  Same per-byte rates as the KSM cost model.
+        # bucket collisions.
         hash_bytes = interval.pages_scanned * PAGE_BYTES
-        compare_cpu = interval.bytes_compared * 2 / 6.0
-        hash_cpu = float(hash_bytes) * 3.0
-        other_cpu = (
-            interval.pages_scanned * BOOKKEEPING_CYCLES_PER_PAGE + 2000.0
+        compare_cpu, hash_cpu, other_cpu = software_scan_cycles(
+            interval.bytes_compared, hash_bytes, interval.pages_scanned,
+            cycles_per_page=BOOKKEEPING_CYCLES_PER_PAGE,
         )
-        lines = (2 * interval.bytes_compared + hash_bytes) // 64
-        miss_cost = (
-            scale.core_memory_overhead_cycles + scale.dram_latency_cycles
+        stalls = floored_scan_stalls(
+            system, 2 * interval.bytes_compared + hash_bytes, now
         )
-        stalls = lines * scale.scan_miss_floor * miss_cost
-        dram_bytes = int(lines * 64 * scale.scan_miss_floor)
-        if dram_bytes:
-            system.dram.stats.bytes_by_source["ksm"] += dram_bytes
-            system.dram.bandwidth.record(
-                system._mem_now, dram_bytes, "ksm"
-            )
-        system.add_pollution(lines * 64, now)
         timing = system.ksm_timing
         timing.compare_cycles += compare_cpu + stalls * (
             compare_cpu / (compare_cpu + hash_cpu)
@@ -95,15 +81,8 @@ class ESXBackend(MergeBackend):
         total = compare_cpu + hash_cpu + other_cpu + stalls
         return total / system.freq
 
-    supports_hints = True
-
-    def apply_hints(self, hints):
-        """Honor hints by front-loading the bucket scan queue."""
-        hints = tuple(hints)
-        accepted = self.merger.apply_hints(hints)
-        return {"accepted": accepted, "ignored": len(hints) - accepted}
-
     def register_metrics(self, registry):
+        super().register_metrics(registry)
         registry.register("esx", lambda: self.merger.stats)
         registry.register(
             "esx_buckets", lambda: {"n_buckets": self.merger.n_buckets}
@@ -119,9 +98,7 @@ class ESXBackend(MergeBackend):
     @classmethod
     def build_functional(cls, hypervisor, ksm_config, *, line_sampling=8,
                          verify_ecc=False, resilience=None):
-        return MergerBundle(
-            kind=cls.name, merger=ESXStyleMerger(hypervisor)
-        )
+        return MergerBundle(merger=ESXStyleMerger(hypervisor))
 
     @classmethod
     def capture_functional(cls, bundle):

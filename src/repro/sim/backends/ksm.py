@@ -11,7 +11,7 @@ per-interval page quota, and the post-interval cost observation.
 
 from repro.ksm import KSMDaemon
 from repro.sim.backends.base import MergeBackend, MergerBundle
-from repro.sim.backends.cachecost import CacheCostSink
+from repro.sim.backends.cachecost import CacheCostSink, software_scan_cycles
 from repro.sim.backends.registry import register_backend
 
 
@@ -27,13 +27,10 @@ class KSMSoftwareBackend(MergeBackend):
         system = self.system
         self.cost_sink = CacheCostSink(system)
         self.daemon = self._make_daemon()
-        self.bundle = MergerBundle(
-            kind=self.name, merger=self.daemon, daemon=self.daemon
-        )
+        self.bundle = MergerBundle(merger=self.daemon, daemon=self.daemon)
         # Legacy attribute: tests and tools reach the daemon as
         # ``system.ksm``.
         system.ksm = self.daemon
-        system._cost_sink = self.cost_sink
 
     def _make_daemon(self):
         system = self.system
@@ -42,9 +39,6 @@ class KSMSoftwareBackend(MergeBackend):
             cost_sink=self.cost_sink,
         )
 
-    def start(self, events):
-        events.schedule(0.001, self._wake)
-
     def _wake(self):
         # The chunk must occupy the chosen core *as ksmd*: the cost sink
         # streams lines through that core's hierarchy mid-chunk.
@@ -52,10 +46,6 @@ class KSMSoftwareBackend(MergeBackend):
             self._run_chunk, on_done=self._sleep_then_wake,
             occupy_ksm_core=True,
         )
-
-    def _sleep_then_wake(self):
-        sleep_s = self.system.machine.ksm.sleep_millisecs / 1000.0
-        self.system.events.schedule_in(sleep_s, self._wake)
 
     def _chunk_quota(self):
         """Pages to scan this interval (UKSM substitutes its governor)."""
@@ -71,17 +61,12 @@ class KSMSoftwareBackend(MergeBackend):
         self.cost_sink.reset()
         system.churner.tick()
         interval = self.daemon.scan_pages(self._chunk_quota())
-        # CPU-side cycle cost of the interval's work: word-wise memcmp
-        # at 8 B/cycle over both pages, jhash2 at ~3 cycles/byte (the
-        # kernel routine's measured rate), and per-candidate bookkeeping
-        # (rmap lookup, page-table walks, tree maintenance, locking) that
-        # the paper's Table 4 shows as the ~33% "other" share.  Memory
-        # stalls measured through the cache model are added per category.
-        compare_cpu = (
-            interval.bytes_compared * 2 + interval.merge_verify_bytes * 2
-        ) / 6.0
-        hash_cpu = float(interval.checksum_bytes) * 3.0
-        other_cpu = interval.pages_scanned * 20_000.0 + 2000.0
+        # Memory stalls measured through the cache model are added to
+        # the CPU cost per category.
+        compare_cpu, hash_cpu, other_cpu = software_scan_cycles(
+            interval.bytes_compared + interval.merge_verify_bytes,
+            interval.checksum_bytes, interval.pages_scanned,
+        )
         stalls = self.cost_sink.stalls_by_category
         compare_total = compare_cpu + stalls.get("compare", 0.0)
         hash_total = hash_cpu + stalls.get("hash", 0.0)
@@ -96,21 +81,6 @@ class KSMSoftwareBackend(MergeBackend):
         self._observe_chunk(interval, total_cycles)
         return total_cycles / system.freq
 
-    def attach_auditor(self, auditor):
-        auditor.attach_daemon(self.daemon)
-        return auditor
-
-    supports_hints = True
-
-    def apply_hints(self, hints):
-        """Honor hints via the daemon's pre-keyed queue-jump path."""
-        hints = tuple(hints)
-        accepted = self.daemon.enqueue_hints(hints)
-        return {"accepted": accepted, "ignored": len(hints) - accepted}
-
-    def register_metrics(self, registry):
-        registry.register("ksm_daemon", lambda: self.daemon.stats)
-
     def summarize(self, summary):
         compare, hsh, _other = self.system.ksm_timing.shares()
         summary.ksm_compare_share = compare
@@ -122,7 +92,7 @@ class KSMSoftwareBackend(MergeBackend):
     def build_functional(cls, hypervisor, ksm_config, *, line_sampling=8,
                          verify_ecc=False, resilience=None):
         daemon = KSMDaemon(hypervisor, ksm_config)
-        return MergerBundle(kind=cls.name, merger=daemon, daemon=daemon)
+        return MergerBundle(merger=daemon, daemon=daemon)
 
     @classmethod
     def capture_functional(cls, bundle):

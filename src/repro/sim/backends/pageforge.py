@@ -13,6 +13,10 @@ from repro.core.driver import PageForgeMergeDriver
 from repro.mem import MemoryController
 from repro.mem.controller import home_controller_for
 from repro.sim.backends.base import MergeBackend, MergerBundle
+from repro.sim.backends.cachecost import (
+    floored_scan_stalls,
+    software_scan_cycles,
+)
 from repro.sim.backends.registry import register_backend
 
 
@@ -41,23 +45,18 @@ class PageForgeBackend(MergeBackend):
             line_sampling=8,
             resilience=system.resilience,
         )
+        # The driver scans; its daemon holds the trees and the hint
+        # queue (hinted pages are keyed by the engine's ECC hash).
         self.bundle = MergerBundle(
-            kind=self.name, merger=self.driver, daemon=self.driver.daemon,
-            driver=self.driver, controller=home,
+            merger=self.driver, daemon=self.driver.daemon, driver=self.driver
         )
         system.pf_driver = self.driver
         if system.fault_plan is not None:
-            from repro.faults import DegradationGovernor, FaultInjector
+            from repro.faults import arm_bundle
 
-            system.fault_injector = FaultInjector(
-                system.fault_plan
-            ).attach(controller=home, engine=self.driver.engine)
-            system.pf_governor = DegradationGovernor(
-                self.driver.strategy.resilience
+            system.fault_injector, system.pf_governor = arm_bundle(
+                self.bundle, system.fault_plan
             )
-
-    def start(self, events):
-        events.schedule(0.001, self._wake)
 
     def _wake(self):
         system = self.system
@@ -102,32 +101,19 @@ class PageForgeBackend(MergeBackend):
     def _degraded_chunk_cycles(self, interval, now):
         """CPU cycles of one software-fallback interval.
 
-        Mirrors the KSM chunk's cost formula, with memory stalls
-        estimated in bulk (miss fraction floored at full-scale, as the
-        cache-model sink does) instead of measured — the fallback daemon
-        has no cache sink wired.
+        The KSM chunk's cost model, with memory stalls estimated in
+        bulk instead of measured — the fallback daemon has no cache sink
+        wired.
         """
         system = self.system
-        compare_cpu = (
-            interval.bytes_compared * 2 + interval.merge_verify_bytes * 2
-        ) / 6.0
-        hash_cpu = float(interval.checksum_bytes) * 3.0
-        other_cpu = interval.pages_scanned * 20_000.0 + 2000.0
-        lines = (
-            2 * interval.bytes_compared + interval.checksum_bytes
-        ) // 64
-        miss_cost = (
-            system.scale.core_memory_overhead_cycles
-            + system.scale.dram_latency_cycles
+        compare_cpu, hash_cpu, other_cpu = software_scan_cycles(
+            interval.bytes_compared + interval.merge_verify_bytes,
+            interval.checksum_bytes, interval.pages_scanned,
         )
-        stalls = lines * system.scale.scan_miss_floor * miss_cost
-        dram_bytes = int(lines * 64 * system.scale.scan_miss_floor)
-        if dram_bytes:
-            system.dram.stats.bytes_by_source["ksm"] += dram_bytes
-            system.dram.bandwidth.record(
-                system._mem_now, dram_bytes, "ksm"
-            )
-        system.add_pollution(lines * 64, now)
+        stalls = floored_scan_stalls(
+            system, 2 * interval.bytes_compared + interval.checksum_bytes,
+            now,
+        )
         timing = system.ksm_timing
         timing.compare_cycles += compare_cpu
         timing.hash_cycles += hash_cpu
@@ -135,27 +121,8 @@ class PageForgeBackend(MergeBackend):
         timing.intervals += 1
         return int(compare_cpu + hash_cpu + other_cpu + stalls)
 
-    def attach_auditor(self, auditor):
-        auditor.attach_daemon(self.driver.daemon)
-        auditor.attach_engine(self.driver.engine)
-        return auditor
-
-    supports_hints = True
-
-    def apply_hints(self, hints):
-        """Honor hints through the driver's (hardware-keyed) daemon.
-
-        The queue-jump is the same KSM path; the pre-seeded key comes
-        from the engine's ECC hash (a Last-Refill scan per hinted
-        frame), so hinted pages are keyed by the near-memory hardware
-        eagerly instead of on first scan.
-        """
-        hints = tuple(hints)
-        accepted = self.driver.daemon.enqueue_hints(hints)
-        return {"accepted": accepted, "ignored": len(hints) - accepted}
-
     def register_metrics(self, registry):
-        registry.register("ksm_daemon", lambda: self.driver.daemon.stats)
+        super().register_metrics(registry)
         registry.register("pf_engine", self._engine_metrics)
         registry.register(
             "pf_faults", lambda: self.driver.fault_stats
@@ -191,10 +158,7 @@ class PageForgeBackend(MergeBackend):
             hypervisor, controller, ksm_config=ksm_config,
             line_sampling=line_sampling, resilience=resilience,
         )
-        return MergerBundle(
-            kind=cls.name, merger=driver, daemon=driver.daemon,
-            driver=driver, controller=controller,
-        )
+        return MergerBundle(merger=driver, daemon=driver.daemon, driver=driver)
 
     @classmethod
     def capture_functional(cls, bundle):

@@ -69,7 +69,7 @@ class UKSMBackend(KSMSoftwareBackend):
     def build_functional(cls, hypervisor, ksm_config, *, line_sampling=8,
                          verify_ecc=False, resilience=None):
         daemon = UKSMDaemon(hypervisor, _uksm_config(ksm_config))
-        return MergerBundle(kind=cls.name, merger=daemon, daemon=daemon)
+        return MergerBundle(merger=daemon, daemon=daemon)
 
     @classmethod
     def capture_functional(cls, bundle):

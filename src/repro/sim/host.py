@@ -6,9 +6,10 @@ recoverable run, the differential oracle harness, the chaos campaigns,
 the serverless cold-start study, VM migration between fleet hosts, and
 the live merge service.  Callers configure a host instead of assembling
 hypervisor + images + merger themselves, so the capacity rule, the app
-lookup, backend construction, fault arming, auditor wiring, and VM
-landing each live here once.  (The timed
-:class:`~repro.sim.system.ServerSystem` shares the capacity rule.)
+lookup, backend construction, the armed chaos interval, and VM landing
+each live here once.  (The timed :class:`~repro.sim.system.ServerSystem`
+shares the capacity rule, and builds, arms and audits its merge stack
+through the same :class:`~repro.sim.backends.base.MergerBundle` helpers.)
 """
 
 import hashlib
@@ -70,15 +71,16 @@ class FunctionalHost:
 
     ``backend`` is a registered merge backend, built through its
     ``build_functional`` face; ``None`` builds a host with no merger.
-    ``scenario`` picks the guest image profile.  ``churn`` starts a
-    write churner over the images' churn population.
+    ``scenario`` picks the guest image profile and the churn rate.
+    ``churn`` starts a write churner over the images' churn population.
 
     ``fault_plan`` arms the host for chaos runs: the merger compares
     every line with the SECDED decode on (the real, injectable fetch
     path), ``injector`` realises the plan against the PageForge
     controller and engine when there are any, and ``governor`` is a
-    degradation governor over the driver for callers that let it pick
-    each interval's backend.
+    degradation governor over the driver that picks each
+    :meth:`armed_interval`'s backend (a caller that wants the hardware
+    every interval sets it to ``None``).
 
     ``state`` (from :meth:`capture`) restores a host instead of booting
     images: the hypervisor, merger, churner, and fault machinery resume
@@ -100,12 +102,15 @@ class FunctionalHost:
         self.hypervisor = Hypervisor(physical_memory=PhysicalMemory(
             host_capacity_bytes(pages_per_vm, n_vms)
         ))
+        # Lazy: repro.sim.system imports this module.
+        from repro.sim.system import SimulationScale
+
+        model = get_scenario(scenario)()
+        self.churn_fraction = model.churn_fraction(SimulationScale())
         self.images = None
         self.churner = None
         if state is None:
-            profile = get_scenario(scenario)().image_profile(
-                self.app, pages_per_vm
-            )
+            profile = model.image_profile(self.app, pages_per_vm)
             self.images = build_vm_images(
                 self.hypervisor, profile, n_vms, self.rng,
                 name_prefix=vm_prefix,
@@ -130,27 +135,20 @@ class FunctionalHost:
         self.injector = None
         self.governor = None
         if fault_plan is not None:
-            self._arm(fault_plan)
+            # Lazy: repro.faults.campaign imports this module.
+            from repro.faults import arm_bundle
+
+            self.injector, self.governor = arm_bundle(self.bundle, fault_plan)
         if state is not None:
             self._restore(state)
 
-    def _arm(self, plan):
-        # Lazy: repro.faults.campaign imports this module.
-        from repro.faults import DegradationGovernor, FaultInjector
+    def start_churn(self, churn_pages, fraction_per_tick=None):
+        """Rewrite part of ``churn_pages`` ((vm_id, gpn) pairs) per tick.
 
-        self.injector = FaultInjector(plan)
-        bundle = self.bundle
-        if bundle is not None and bundle.controller is not None:
-            self.injector.attach(
-                controller=bundle.controller, engine=bundle.driver.engine
-            )
-        if bundle is not None and bundle.driver is not None:
-            self.governor = DegradationGovernor(
-                bundle.driver.strategy.resilience
-            )
-
-    def start_churn(self, churn_pages, fraction_per_tick=0.5):
-        """Rewrite part of ``churn_pages`` ((vm_id, gpn) pairs) per tick."""
+        The fraction rewritten per tick defaults to the scenario's.
+        """
+        if fraction_per_tick is None:
+            fraction_per_tick = self.churn_fraction
         self.churner = WriteChurner(
             self.hypervisor, churn_pages, self.rng.derive("churn"),
             fraction_per_tick=fraction_per_tick,
@@ -204,6 +202,25 @@ class FunctionalHost:
             self.config.pages_to_scan if n_pages is None else n_pages
         )
 
+    def armed_interval(self):
+        """One interval of a fault-armed host; returns the destroyed VM id.
+
+        The governor (when there is one) picks the interval's backend
+        and observes its fault telemetry; after the scan the injector
+        may destroy a VM (its id is returned, else ``None``) and unmerge
+        pages, racing the stale state the next interval starts from.
+        """
+        governor = self.governor
+        if governor is not None:
+            self.bundle.driver.set_backend(governor.plan_interval())
+        if self.merger is not None:
+            self.scan()
+        if governor is not None:
+            governor.observe(*self.bundle.driver.fault_observations())
+        destroyed = self.injector.maybe_destroy_vm(self.hypervisor)
+        self.injector.maybe_unmerge_pages(self.hypervisor)
+        return destroyed
+
     def converge(self, max_passes=8):
         """Scan until the footprint stabilises (or the pass budget ends)."""
         last = None
@@ -255,21 +272,8 @@ class FunctionalHost:
     # Verification ----------------------------------------------------------------
 
     def attach_auditor(self, auditor):
-        """Wire an InvariantAuditor into this host's merge events.
-
-        The hypervisor is wrapped exactly once (through the daemon when
-        there is one); a PageForge engine adds its Scan-Table checks.
-        """
-        bundle = self.bundle
-        daemon = bundle.daemon if bundle is not None else None
-        if daemon is not None:
-            auditor.attach_daemon(daemon)
-        else:
-            auditor.attach_hypervisor(self.hypervisor)
-        driver = bundle.driver if bundle is not None else None
-        if driver is not None and hasattr(driver, "engine"):
-            auditor.attach_engine(driver.engine)
-        return auditor
+        """Wire an InvariantAuditor into this host's merge events."""
+        return auditor.attach_bundle(self.bundle, self.hypervisor)
 
     def audit(self, auditor):
         """Full-state audit now: frames always, trees when present."""

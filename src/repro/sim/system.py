@@ -60,8 +60,7 @@ from repro.cpu import Core, KernelTaskScheduler
 from repro.mem import MemoryController, PhysicalMemory
 from repro.mem.dram import DRAMModel
 from repro.scenarios import get_scenario
-from repro.sim.backends import get_backend
-from repro.sim.backends.cachecost import CacheCostSink as _CacheCostSink
+from repro.sim.backends import get_backend, offer_hints
 from repro.sim.engine import EventQueue
 from repro.sim.host import host_capacity_bytes
 from repro.sim.load import LoadGenerator
@@ -74,7 +73,6 @@ __all__ = [
     "KSMTimingStats",
     "ServerSystem",
     "SimulationScale",
-    "_CacheCostSink",
 ]
 
 #: The paper's three evaluated configurations (Section 5.3).  The
@@ -220,17 +218,14 @@ class ServerSystem:
     def _apply_scenario_hints(self):
         hints = tuple(self.scenario.merge_hints(self.images))
         self.hint_stats = {
-            "offered": len(hints), "accepted": 0, "ignored": 0,
+            "offered": len(hints), **offer_hints(self.backend.bundle, hints),
         }
-        if hints:
-            self.hint_stats.update(self.backend.apply_hints(hints))
 
     def _build_merging(self, backend_cls):
         # Legacy component attributes: the backend that builds one fills
         # it in; the rest stay None so callers can probe by attribute.
         self.ksm = None
         self.pf_driver = None
-        self.esx = None
         self.ksm_timing = KSMTimingStats()
         self.scheduler = KernelTaskScheduler(
             self.machine.processor.n_cores, self._rng_mode.derive("sched")

@@ -465,9 +465,23 @@ class InvariantAuditor:
         engine.audit_hook = self.on_table_processed
         return self
 
-    def attach_system(self, system):
-        """Wire into a :class:`~repro.sim.system.ServerSystem`: the
-        system's merge backend decides which components to audit (and
-        every backend wires at least the hypervisor)."""
-        system.backend.attach_auditor(self)
+    def attach_bundle(self, bundle, hypervisor):
+        """Audit one merge stack (a ``MergerBundle``, or ``None`` for no
+        merging) over ``hypervisor``.
+
+        The hypervisor is wrapped exactly once: through the daemon when
+        there is one, else directly.  A PageForge driver adds its
+        engine's Scan-Table checks.
+        """
+        daemon = bundle.daemon if bundle is not None else None
+        if daemon is not None:
+            self.attach_daemon(daemon)
+        else:
+            self.attach_hypervisor(hypervisor)
+        if bundle is not None and bundle.driver is not None:
+            self.attach_engine(bundle.driver.engine)
         return self
+
+    def attach_system(self, system):
+        """Wire into a :class:`~repro.sim.system.ServerSystem`."""
+        return self.attach_bundle(system.backend.bundle, system.hypervisor)

@@ -9,18 +9,22 @@ the same ServerSystem / runner / export path the paper's three use.
 import pytest
 
 from repro.common.config import KSMConfig, TAILBENCH_APPS
+from repro.faults import DegradationGovernor, FaultPlan
 from repro.ksm import KSMDaemon
 from repro.ksm.esx import ESXStyleMerger
 from repro.ksm.uksm import UKSMDaemon
 from repro.recovery.runner import RunSpec, run_to_completion
+from repro.scenarios import ScenarioSpec
 from repro.sim import ServerSystem, SimulationScale
 from repro.sim.backends import (
     MergeBackend,
     available_backends,
     get_backend,
+    offer_hints,
     recoverable_backends,
     register_backend,
 )
+from repro.sim.host import FunctionalHost
 from repro.sim.runner import run_latency_experiment, run_memory_savings
 from repro.verify.invariants import InvariantAuditor
 
@@ -128,8 +132,8 @@ class TestESXBackend:
 
     def test_merger_exposed(self, new_mode_systems):
         system = new_mode_systems["esx"]
-        assert isinstance(system.esx, ESXStyleMerger)
-        assert system.esx.stats.hash_lookups > 0
+        assert isinstance(system.backend.merger, ESXStyleMerger)
+        assert system.backend.merger.stats.hash_lookups > 0
 
     def test_metrics_snapshot_includes_buckets(self, new_mode_systems):
         snapshot = new_mode_systems["esx"].metrics.snapshot()
@@ -195,7 +199,7 @@ class TestFunctionalFaces:
         assert isinstance(esx.merger, ESXStyleMerger)
         pf = get_backend("pageforge").build_functional(hypervisor, config)
         assert pf.driver is pf.merger
-        assert pf.controller is not None
+        assert pf.driver.engine.controller is not None
 
     def test_baseline_has_no_functional_stack(self, hypervisor):
         with pytest.raises(ValueError):
@@ -249,6 +253,87 @@ class TestAuditorBoundary:
         system.run()
         assert auditor.total_checks > 0
         assert auditor.clean, auditor.violations[:3]
+
+
+def _wiring(hypervisor, bundle, auditor):
+    """(hypervisor wraps, daemon audited, engine audited) of one stack."""
+    wraps = 0
+    merge = hypervisor.merge_pages
+    while getattr(merge, "__name__", None) == "audited_merge":
+        wraps += 1
+        cells = dict(zip(merge.__code__.co_freevars, merge.__closure__))
+        merge = cells["real_merge"].cell_contents
+    daemon = bundle.daemon if bundle is not None else None
+    driver = bundle.driver if bundle is not None else None
+    return (
+        wraps,
+        daemon is not None and daemon.audit_hook == auditor.on_scan_interval,
+        driver is not None
+        and driver.engine.audit_hook == auditor.on_table_processed,
+    )
+
+
+def _arming(bundle, injector, governor):
+    """(controller hooked, engine walk hooked, governor) of one stack."""
+    driver = bundle.driver if bundle is not None else None
+    if driver is None:
+        return (False, False, governor)
+    return (
+        driver.engine.controller.fault_hook == injector.line_hook,
+        driver.engine.walk_fault_hook == injector.walk_hook,
+        type(governor),
+    )
+
+
+class TestBundleSurface:
+    """The timed system and the untimed host wire one merge stack alike:
+    auditor, fault arming, and hint accounting all go through the
+    backend's MergerBundle."""
+
+    @pytest.mark.parametrize("mode", available_backends())
+    def test_timed_and_functional_faces_wire_alike(self, mode):
+        spec = ScenarioSpec("serverless", "moses", n_vms=2, pages_per_vm=40,
+                            seed=9)
+        plan = FaultPlan(seed=1)
+        timed_auditor = InvariantAuditor()
+        system = ServerSystem(
+            APP, mode=mode, seed=spec.seed, scenario=spec.scenario,
+            scale=SimulationScale(pages_per_vm=spec.pages_per_vm,
+                                  n_vms=spec.n_vms),
+            auditor=timed_auditor, fault_plan=plan,
+        )
+        host = FunctionalHost(
+            spec.content_rng().name,
+            backend=None if mode == "baseline" else mode, app=spec.app,
+            n_vms=spec.n_vms, pages_per_vm=spec.pages_per_vm,
+            seed=spec.seed, scenario=spec.scenario, fault_plan=plan,
+        )
+        host_auditor = host.attach_auditor(InvariantAuditor())
+        bundle = system.backend.bundle
+        assert (bundle is None) == (host.bundle is None)
+
+        wiring = _wiring(system.hypervisor, bundle, timed_auditor)
+        assert wiring == _wiring(host.hypervisor, host.bundle, host_auditor)
+        assert wiring == (
+            1, mode in ("ksm", "uksm", "pageforge"), mode == "pageforge",
+        )
+
+        arming = _arming(bundle, system.fault_injector, system.pf_governor)
+        assert arming == _arming(host.bundle, host.injector, host.governor)
+        if mode == "pageforge":
+            assert arming == (True, True, DegradationGovernor)
+        else:
+            assert arming == (False, False, None)
+
+        hints = tuple(spec.model().merge_hints(host.images))
+        offered = offer_hints(host.bundle, hints)
+        assert system.hint_stats == {"offered": len(hints), **offered}
+        if bundle is None:
+            assert offered == {"accepted": 0, "ignored": len(hints)}
+        else:
+            assert offered["accepted"] > 0
+            assert bundle.scanner.hints_accepted == offered["accepted"]
+            assert host.bundle.scanner.hints_accepted == offered["accepted"]
 
 
 class TestRecovery:

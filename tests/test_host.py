@@ -10,8 +10,10 @@ import json
 
 import pytest
 
+from repro.common.config import TAILBENCH_APPS
 from repro.sim.backends import available_backends
 from repro.sim.host import FunctionalHost
+from repro.sim.system import ServerSystem, SimulationScale
 from repro.verify.invariants import InvariantAuditor
 
 FUNCTIONAL = [None] + [b for b in available_backends() if b != "baseline"]
@@ -58,3 +60,23 @@ def test_fleet_host_identity():
     host = FunctionalHost(4, backend="ksm", n_vms=2, pages_per_vm=20)
     assert host.rng.name == "fleet/host4"
     assert [vm.name for vm in host.images.vms] == ["h4-vm0", "h4-vm1"]
+
+
+def test_churn_fraction_follows_scenario_and_survives_restore():
+    # The untimed host rewrites what the timed system rewrites per tick.
+    timed = ServerSystem(
+        TAILBENCH_APPS["moses"], scenario="churn",
+        scale=SimulationScale(pages_per_vm=40, n_vms=2),
+    )
+    host = FunctionalHost("test/churn", backend="ksm", scenario="churn",
+                          **SHAPE)
+    assert host.churner.fraction_per_tick == 1.0
+    assert host.churner.fraction_per_tick == timed.churner.fraction_per_tick
+    steady = FunctionalHost("test/churn", backend="ksm", **SHAPE)
+    assert steady.churner.fraction_per_tick == 0.5
+
+    # A checkpoint carries the fraction the churner actually used.
+    host.start_churn(host.churner.churn_pages, 0.25)
+    twin = FunctionalHost("test/churn", backend="ksm", scenario="churn",
+                          state=host.capture(), **SHAPE)
+    assert twin.churner.fraction_per_tick == 0.25

@@ -162,3 +162,35 @@ def test_source_merge_machinery_forgets_the_vm():
             node.key()  # raises if the backing frame died
     src.converge()
     assert src_aud.clean
+
+
+@pytest.mark.parametrize("backend", ["ksm", "esx"])
+def test_scanner_forget_vm_drops_queued_and_dead_state(backend):
+    host = FunctionalHost(0, backend=backend, seed=71, **TINY)
+    host.converge()
+    host.scan(5)  # mid-pass: the queue holds every VM
+    scanner = host.bundle.scanner
+    vm_id = host.images.vms[0].vm_id
+
+    def queued():
+        if backend == "esx":
+            return [vm.vm_id for vm, _mapping in scanner._queue]
+        return [c.vm_id for c in scanner._pass_queue] + [
+            key[0] for key in scanner._checksums
+        ]
+
+    assert vm_id in queued()
+    host.hypervisor.destroy_vm(host.hypervisor.vms[vm_id])
+    scanner.forget_vm(vm_id)
+    assert vm_id not in queued()
+    assert len(set(queued())) == TINY["n_vms"] - 1
+    memory = host.hypervisor.memory
+    if backend == "esx":
+        for bucket in scanner._buckets.values():
+            assert bucket and all(memory.is_allocated(p) for p in bucket)
+    else:
+        for tree in (scanner.stable_tree, scanner.unstable_tree):
+            for node in tree:
+                node.key()  # raises if the backing frame died
+    host.converge()
+    host.hypervisor.verify_consistency()
