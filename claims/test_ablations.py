@@ -170,6 +170,16 @@ def test_sampled_timing_agrees_with_exact():
     (exact_host, exact), (sampled_host, sampled) = runs
     assert exact.stats.merges == sampled.stats.merges
     assert exact_host.footprint() == sampled_host.footprint()
+    # Sampling interpolates timing only: the walk and the line counts
+    # are the same, and the mean table cost moves by a few cycles.
+    counts = ("tables_processed", "page_comparisons", "lines_fetched",
+              "line_pairs_compared")
+    exact_hw, sampled_hw = exact.hw_stats, sampled.hw_stats
+    for name in counts:
+        assert getattr(exact_hw, name) == getattr(sampled_hw, name), name
+    assert sampled_hw.mean_table_cycles == pytest.approx(
+        exact_hw.mean_table_cycles, rel=1e-3
+    )
 
 
 # Cache-bypassing software scan ------------------------------------------------------

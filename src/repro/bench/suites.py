@@ -255,13 +255,14 @@ def _pass_through_hook(ppn, line_index, data, code):
 
 @suite("pageforge_stream")
 def bench_pageforge_stream(quick):
-    """PageForge comparator: batched page-pair reads vs the per-line path.
+    """PageForge comparator: the fused Scan-Table walk vs the per-line path.
 
     Two engines as the timed machine builds them (``line_sampling=8``,
     a snoop bus with an empty L3, no ECC verification) compare the same
-    candidates against the same page sets.  One reads each page pair's
-    sampled lines in one controller call; the other has a no-op fault
-    hook armed, which forces the retained per-line path (one probe and
+    candidates against the same page sets.  One runs the fused walk:
+    each table's reads go through one ``PageReadSession`` whose
+    accounting is flushed once per table.  The other has a no-op fault
+    hook armed, which forces the per-line reference path (one probe and
     one ``read_line`` per line).  Call for call, both do bit-identical
     simulated work, so the gated ratio isolates the line-path
     implementation.

@@ -56,6 +56,16 @@ class SnoopBus:
     def l3(self):
         return self._l3
 
+    @property
+    def presence(self):
+        """The presence index (read-only for callers).
+
+        A line address absent from it is in no registered cache, so a
+        :meth:`probe` for it misses; batched readers check it for whole
+        line sets and add their probes to ``snoop_probes`` themselves.
+        """
+        return self._presence
+
     # Probes ----------------------------------------------------------------------
 
     def probe(self, addr, exclude_core=None):
@@ -86,24 +96,6 @@ class SnoopBus:
                 return ProbeResult(hit=True, supplier="L3",
                                    was_dirty=state.is_dirty)
         return ProbeResult(hit=False)
-
-    def probe_all_miss(self, ppns, lines):
-        """Probe ``lines`` of every page in ``ppns`` in one step.
-
-        When no registered cache holds an entry for any of those lines,
-        every per-line :meth:`probe` would miss: count them all and
-        return True.  Otherwise count nothing and return False, and the
-        caller probes line by line.
-        """
-        presence = self._presence
-        if presence:
-            for ppn in ppns:
-                base = ppn * 64
-                for line in lines:
-                    if base + line in presence:
-                        return False
-        self.snoop_probes += len(ppns) * len(lines)
-        return True
 
     # Coherence transactions --------------------------------------------------------
 

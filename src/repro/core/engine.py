@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.config import PageForgeConfig
-from repro.common.units import LINES_PER_PAGE
+from repro.common.units import CACHE_LINE_BYTES, LINES_PER_PAGE
 from repro.core.hashkey import ECCHashKeyGenerator
 from repro.core.scan_table import (
     ScanTable,
@@ -127,158 +127,53 @@ class PageForgeEngine:
             self.keygen.observe(line_index, ecc_code)
         return data, latency
 
-    def _dram_only(self, ppns, lines):
-        """Whether ``lines`` of ``ppns`` can be read in one controller call.
+    def _read_per_line(self, ppns, lines, time_seconds, step_cycles):
+        """Fetch ``lines`` of ``ppns`` through :meth:`_fetch_line`.
 
-        True when no fault hook is armed, ECC verification is off, and no
-        cache holds any of the lines (the bus counts the probes): then
-        every request goes to DRAM, and :meth:`_fetch_lines` gives the
-        per-line path's results.
+        The scalar reference of ``PageReadSession.read``: per line, each
+        page in order (``ppns[0]`` is the candidate), all issued at the
+        same time, which then advances by the slowest latency plus
+        ``step_cycles``.  Yields ``(data_per_page, latency)`` per line.
         """
-        controller = self.controller
-        return (
-            controller.fault_hook is None
-            and not controller.verify_ecc
-            and (self.bus is None or self.bus.probe_all_miss(ppns, lines))
-        )
-
-    def _fetch_lines(self, ppns, lines, time_seconds, step_cycles,
-                     missing):
-        """Fetch ``lines`` of ``ppns`` from DRAM in one controller call.
-
-        ``ppns[0]`` is the candidate; ``missing`` are the hash-key lines
-        still unobserved.  Returns each line's latency (the slowest
-        page's); the clock advances by it plus ``step_cycles`` per line,
-        as in the per-line loops.
-        """
-        controller = self.controller
-        coalesced_before = controller.stats.coalesced_requests
-        latencies, codes = controller.read_page_lines(
-            ppns, lines, AccessSource.PAGEFORGE, time_seconds, step_cycles,
-            code_lines=missing,
-        )
-        n = len(ppns) * len(lines)
-        self.stats.lines_fetched += n
-        self.stats.lines_from_dram += n
-        self.stats.lines_coalesced += (
-            controller.stats.coalesced_requests - coalesced_before
-        )
-        for line, code in codes.items():
-            self.keygen.observe(line, code)
-        return latencies
+        fetch = self._fetch_line
+        frequency = self.controller.dram.cpu_frequency_hz
+        cycles = 0
+        for line in lines:
+            now = time_seconds + cycles / frequency
+            data = []
+            latency = 0
+            for ppn in ppns:
+                page_data, page_latency = fetch(ppn, line, now, not data)
+                data.append(page_data)
+                if page_latency > latency:
+                    latency = page_latency
+            yield data, latency
+            cycles += latency + step_cycles
 
     # Page comparison ------------------------------------------------------------------
 
-    def _compare_with_entry(self, candidate_ppn, other_ppn, time_seconds):
-        """Lockstep line-by-line comparison; returns (sign, cycles).
+    def _compare_lockstep(self, candidate_ppn, other_ppn, time_seconds):
+        """Exact comparison on the fetched data; returns (sign, cycles).
 
         A single line from each page is compared at a time; the offset is
         shared between the two requests (Section 3.2.1).  The comparison
-        stops at the first differing line.
+        stops at the first differing line.  Armed hosts at
+        ``line_sampling=1`` compare this way, so that read-path faults
+        reach the outcome.
         """
-        if self.line_sampling > 1:
-            return self._compare_sampled(
-                candidate_ppn, other_ppn, time_seconds
-            )
         cycles = 0
-        frequency = self.controller.dram.cpu_frequency_hz
-        for line_index in range(LINES_PER_PAGE):
-            now = time_seconds + cycles / frequency
-            data_a, lat_a = self._fetch_line(
-                candidate_ppn, line_index, now, is_candidate=True
-            )
-            data_b, lat_b = self._fetch_line(
-                other_ppn, line_index, now, is_candidate=False
-            )
-            cycles += max(lat_a, lat_b) + self.COMPARE_CYCLES_PER_LINE
+        step = self.COMPARE_CYCLES_PER_LINE
+        lines = self._read_per_line(
+            (candidate_ppn, other_ppn), range(LINES_PER_PAGE), time_seconds,
+            step,
+        )
+        for (data_a, data_b), latency in lines:
+            cycles += latency + step
             self.stats.line_pairs_compared += 1
             if not np.array_equal(data_a, data_b):
-                diffs = np.nonzero(data_a != data_b)[0]
-                first = int(diffs[0])
-                sign = -1 if data_a[first] < data_b[first] else 1
-                return sign, cycles
+                first = int(np.nonzero(data_a != data_b)[0][0])
+                return (-1 if data_a[first] < data_b[first] else 1), cycles
         return 0, cycles
-
-    def _compare_sampled(self, candidate_ppn, other_ppn, time_seconds):
-        """Sampled-timing comparison: exact outcome, interpolated cost."""
-        memory = self.controller.memory
-        a = memory.frame(candidate_ppn).data
-        b = memory.frame(other_ppn).data
-        diffs = np.nonzero(a != b)[0]
-        if diffs.size == 0:
-            sign, lines = 0, LINES_PER_PAGE
-        else:
-            first = int(diffs[0])
-            sign = -1 if a[first] < b[first] else 1
-            lines = first // 64 + 1
-
-        sampled = set(range(0, lines, self.line_sampling))
-        # Lines the hash key still needs must take the real path so the
-        # ECC code is observed (the hardware sees them regardless).
-        missing = self.keygen.missing_lines()
-        for line in missing:
-            if line < lines:
-                sampled.add(line)
-        sampled = sorted(sampled)
-        pair = (candidate_ppn, other_ppn)
-        if self._dram_only(pair, sampled):
-            lat_total = sum(self._fetch_lines(
-                pair, sampled, time_seconds, self.COMPARE_CYCLES_PER_LINE,
-                missing,
-            ))
-            cycles = lat_total + len(sampled) * self.COMPARE_CYCLES_PER_LINE
-        else:
-            frequency = self.controller.dram.cpu_frequency_hz
-            lat_total = 0
-            cycles = 0
-            for line in sampled:
-                now = time_seconds + cycles / frequency
-                _da, lat_a = self._fetch_line(
-                    candidate_ppn, line, now, is_candidate=True
-                )
-                _db, lat_b = self._fetch_line(
-                    other_ppn, line, now, is_candidate=False
-                )
-                pair_lat = max(lat_a, lat_b)
-                lat_total += pair_lat
-                cycles += pair_lat + self.COMPARE_CYCLES_PER_LINE
-        est_per_line = lat_total / max(1, len(sampled))
-        skipped = lines - len(sampled)
-        cycles += int(
-            skipped * (est_per_line + self.COMPARE_CYCLES_PER_LINE)
-        )
-        # Bulk-account the skipped fetches (they overwhelmingly come
-        # from DRAM: the comparator streams cold pages).
-        if skipped > 0:
-            n = 2 * skipped
-            self.stats.lines_fetched += n
-            self.stats.lines_from_dram += n
-            dram = self.controller.dram
-            dram.stats.bytes_by_source["pageforge"] += n * 64
-            dram.bandwidth.record(time_seconds, n * 64, "pageforge")
-        self.stats.line_pairs_compared += lines
-        return sign, cycles
-
-    # Hash-key completion -----------------------------------------------------------------
-
-    def _complete_hash_key(self, candidate_ppn, time_seconds):
-        """Fetch any hash-offset lines the comparisons did not cover."""
-        missing = self.keygen.missing_lines()
-        if self._dram_only((candidate_ppn,), missing):
-            self.stats.hash_fill_reads += len(missing)
-            return sum(self._fetch_lines(
-                (candidate_ppn,), missing, time_seconds, 0, missing
-            ))
-        cycles = 0
-        frequency = self.controller.dram.cpu_frequency_hz
-        for line_index in missing:
-            now = time_seconds + cycles / frequency
-            _data, lat = self._fetch_line(
-                candidate_ppn, line_index, now, is_candidate=True
-            )
-            self.stats.hash_fill_reads += 1
-            cycles += lat
-        return cycles
 
     # The state machine ----------------------------------------------------------------------
 
@@ -288,73 +183,196 @@ class PageForgeEngine:
         Requires a valid PFE entry.  On return either Duplicate is set
         (``Ptr`` names the matching entry) or the walk fell off the table
         (``Ptr`` holds an invalid index / miss sentinel).
+
+        Each comparison's outcome comes from the frames' contents (the
+        first differing byte); the lines up to it are fetched, every
+        ``line_sampling``-th one timed along with the hash-key lines
+        still missing, and the rest accounted at the sampled mean.  The
+        reads go through one :class:`~repro.mem.controller.PageReadSession`
+        per table, whose counters and the engine's line counters are
+        flushed once, also when the walk raises.  The per-line
+        :meth:`_fetch_line` path reads instead when a fault hook is
+        armed, ECC verification is on, or a cache holds one of the lines.
         """
-        pfe = self.table.pfe
+        table = self.table
+        pfe = table.pfe
         if not pfe.valid:
             raise RuntimeError("PFE entry invalid; fill the Scan Table first")
-        self.busy = True
+        stats = self.stats
+        keygen = self.keygen
+        controller = self.controller
+        memory = controller.memory
+        frequency = controller.dram.cpu_frequency_hz
+        sampling = self.line_sampling
+        step = self.COMPARE_CYCLES_PER_LINE
+        armed = (
+            controller.fault_hook is not None
+            or controller.verify_ecc
+            or self.walk_fault_hook is not None
+        )
+        lockstep = armed and sampling == 1
+        walk_fault_hook = self.walk_fault_hook
+        bus = self.bus
+        presence = bus.presence if bus is not None else {}
+        session = controller.read_session(AccessSource.PAGEFORGE)
+        candidate_ppn = pfe.ppn
+        candidate = memory.frame(candidate_ppn)
+        candidate_data = candidate.data
+        candidate_base = candidate_ppn * LINES_PER_PAGE
+        # The hash-key lines not observed yet.
+        wanted = keygen.missing_lines()
+        entries = table.entries
+        n_entries = table.n_entries
+        ptr = pfe.ptr
+        # Lines read through the session (one snoop probe each) and lines
+        # accounted at the sampled mean; flushed with the session.
+        timed = untimed = coalesced = pairs = 0
         cycles = 0
-        frequency = self.controller.dram.cpu_frequency_hz
         visited = set()
+        self.busy = True
         try:
-            while self.table.index_valid(pfe.ptr):
-                if pfe.ptr in visited:
+            # table.index_valid(ptr), inlined.
+            while 0 <= ptr < n_entries and entries[ptr].valid:
+                if ptr in visited:
                     raise ScanTableCorruption(
-                        f"Less/More cycle through entry {pfe.ptr}",
-                        ptr=pfe.ptr,
+                        f"Less/More cycle through entry {ptr}", ptr=ptr,
                     )
-                visited.add(pfe.ptr)
-                if self.walk_fault_hook is not None:
-                    self.walk_fault_hook(self.table, pfe.ptr)
-                    if not self.table.index_valid(pfe.ptr):
+                visited.add(ptr)
+                if walk_fault_hook is not None:
+                    walk_fault_hook(table, ptr)
+                    if not table.index_valid(ptr):
                         # The entry under comparison lost its V bit: its
                         # fields are garbage now, abort rather than read.
                         raise ScanTableCorruption(
-                            f"entry {pfe.ptr} invalidated under the walk",
-                            ptr=pfe.ptr,
+                            f"entry {ptr} invalidated under the walk",
+                            ptr=ptr,
                         )
-                entry = self.table.entry(pfe.ptr)
+                entry = entries[ptr]
                 now = time_seconds + cycles / frequency
-                sign, compare_cycles = self._compare_with_entry(
-                    pfe.ppn, entry.ppn, now
-                )
-                cycles += compare_cycles
-                self.stats.page_comparisons += 1
+                if lockstep:
+                    sign, compare_cycles = self._compare_lockstep(
+                        candidate_ppn, entry.ppn, now
+                    )
+                    cycles += compare_cycles
+                else:
+                    other = memory.frame(entry.ppn)
+                    other_data = other.data
+                    diffs = (candidate_data != other_data).nonzero()[0]
+                    if diffs.size:
+                        first = int(diffs[0])
+                        sign = (-1 if candidate_data[first] < other_data[first]
+                                else 1)
+                        n_lines = first // 64 + 1
+                    else:
+                        sign, n_lines = 0, LINES_PER_PAGE
+                    sampled = range(0, n_lines, sampling)
+                    # Hash-key lines the key still needs take the timed
+                    # path too (the hardware sees them regardless).
+                    missing = (
+                        [line for line in wanted if line < n_lines]
+                        if wanted else wanted
+                    )
+                    if missing and sampling > 1:
+                        extra = [line for line in missing if line % sampling]
+                        if extra:
+                            sampled = sorted([*sampled, *extra])
+                    n_sampled = len(sampled)
+                    other_base = entry.ppn * LINES_PER_PAGE
+                    if armed or (presence and any(
+                        candidate_base + line in presence
+                        or other_base + line in presence
+                        for line in sampled
+                    )):
+                        coalesced += session.flush()
+                        latency = sum(
+                            line_latency for _data, line_latency
+                            in self._read_per_line(
+                                (candidate_ppn, entry.ppn), sampled, now, step
+                            )
+                        )
+                        wanted = keygen.missing_lines()
+                    else:
+                        latency = session.read(
+                            (candidate, other), sampled, now, step
+                        )
+                        timed += 2 * n_sampled
+                        if missing:
+                            codes = candidate.ecc_codes
+                            for line in missing:
+                                keygen.observe(line, codes[line])
+                            wanted = keygen.missing_lines()
+                    cycles += latency + n_sampled * step
+                    skipped = n_lines - n_sampled
+                    if skipped:
+                        # The unsampled lines cost the sampled mean; their
+                        # fetches come from DRAM (the comparator streams
+                        # cold pages).
+                        cycles += int(skipped * (latency / n_sampled + step))
+                        untimed += 2 * skipped
+                        session.add_traffic(
+                            now, 2 * skipped * CACHE_LINE_BYTES
+                        )
+                    pairs += n_lines
+                stats.page_comparisons += 1
                 if sign == 0:
                     pfe.duplicate = True
-                    self.stats.duplicates_found += 1
+                    stats.duplicates_found += 1
                     break
                 nxt = entry.less if sign < 0 else entry.more
-                if not pointer_sane(nxt, self.table.n_entries):
+                if not (0 <= nxt < n_entries
+                        or pointer_sane(nxt, n_entries)):
                     raise ScanTableCorruption(
-                        f"entry {pfe.ptr} {'Less' if sign < 0 else 'More'} "
+                        f"entry {ptr} {'Less' if sign < 0 else 'More'} "
                         f"holds undecodable index {nxt}",
                         ptr=nxt,
                     )
-                pfe.ptr = nxt
+                pfe.ptr = ptr = nxt
 
-            # Duplicate found or last batch: force hash-key completion.
-            if (pfe.last_refill or pfe.duplicate) and not self.keygen.ready:
+            # Duplicate found or last batch: force hash-key completion,
+            # fetching the hash-offset lines the comparisons did not cover.
+            if (pfe.last_refill or pfe.duplicate) and not keygen.ready:
                 now = time_seconds + cycles / frequency
-                cycles += self._complete_hash_key(pfe.ppn, now)
+                missing = keygen.missing_lines()
+                if armed or any(
+                    candidate_base + line in presence for line in missing
+                ):
+                    coalesced += session.flush()
+                    for _data, latency in self._read_per_line(
+                        (candidate_ppn,), missing, now, 0
+                    ):
+                        stats.hash_fill_reads += 1
+                        cycles += latency
+                else:
+                    stats.hash_fill_reads += len(missing)
+                    cycles += session.read((candidate,), missing, now, 0)
+                    timed += len(missing)
+                    codes = candidate.ecc_codes
+                    for line in missing:
+                        keygen.observe(line, codes[line])
         finally:
             # A fault abort (table corruption, uncorrectable line, dropped
-            # request) must leave the engine triggerable for the retry.
+            # request) must leave the engine triggerable for the retry,
+            # with every completed read accounted.
             self.busy = False
-        if self.keygen.ready and not pfe.hash_ready:
-            pfe.hash_key = self.keygen.key()
+            coalesced += session.flush()
+            stats.lines_fetched += timed + untimed
+            stats.lines_from_dram += timed + untimed
+            stats.lines_coalesced += coalesced
+            stats.line_pairs_compared += pairs
+            if bus is not None:
+                bus.snoop_probes += timed
+        if keygen.ready and not pfe.hash_ready:
+            pfe.hash_key = keygen.key()
             pfe.hash_ready = True
-            self.stats.hash_keys_completed += 1
+            stats.hash_keys_completed += 1
 
         pfe.scanned = True
-        self.stats.tables_processed += 1
-        self.stats.total_cycles += cycles
-        self.stats.table_cycles.append(cycles)
+        stats.tables_processed += 1
+        stats.total_cycles += cycles
+        stats.table_cycles.append(cycles)
         if self.audit_hook is not None:
-            self.audit_hook(self.table)
-        self.controller.expire_pending(
-            time_seconds + cycles / frequency
-        )
+            self.audit_hook(table)
+        controller.expire_pending(time_seconds + cycles / frequency)
         return cycles
 
     # Candidate lifecycle --------------------------------------------------------------------

@@ -172,7 +172,9 @@ def run_fault_campaign(app="moses", mode="pageforge", plan=None, seed=0,
         consistency_violations=consistency_violations,
         injected=injector.stats.snapshot(),
     )
-    if merger is not None:
+    if merger is not None and hasattr(merger.stats, "walk_failures"):
+        # KSM-family daemons count walk failures; ESX-style buckets do
+        # not walk a tree.
         result.walk_failures = merger.stats.walk_failures
         result.candidates_poisoned = merger.stats.candidates_poisoned
     if driver is not None:

@@ -47,6 +47,19 @@ class WalkFailure(Exception):
         self.cause = cause
 
 
+def _skip_failed(failure, mapping, stats):
+    """Count a candidate skipped after a :class:`WalkFailure`.
+
+    A poisoning failure (uncorrectable ECC on the candidate's own lines)
+    also retires the page from merging for good (page-offline
+    semantics).
+    """
+    stats.walk_failures += 1
+    if failure.poison:
+        mapping.mergeable = False
+        stats.candidates_poisoned += 1
+
+
 @dataclass
 class KSMWorkStats:
     """Work done by the daemon (one interval, or cumulative)."""
@@ -336,7 +349,13 @@ class KSMDaemon:
                 continue
             candidate = _Candidate(vm_id, gpn)
             frame = self.hypervisor.memory.frame(mapping.ppn)
-            self._checksums[candidate] = self.checksum_fn(frame)
+            try:
+                checksum = self.checksum_fn(frame)
+            except WalkFailure as failure:
+                # A hardware key gave up on the page: reject the hint.
+                _skip_failed(failure, mapping, self.stats)
+                continue
+            self._checksums[candidate] = checksum
             # reversed() above makes repeated appendleft preserve the
             # caller's hint order at the queue front.
             self._pass_queue.appendleft(candidate)
@@ -451,12 +470,7 @@ class KSMDaemon:
         except WalkFailure as failure:
             # The hardware backend exhausted its retries on this
             # candidate; skip it for the pass (it will be revisited).
-            interval.walk_failures += 1
-            if failure.poison:
-                # Uncorrectable ECC on the candidate's own lines: never
-                # merge this page again (page-offline semantics).
-                mapping.mergeable = False
-                interval.candidates_poisoned += 1
+            _skip_failed(failure, mapping, interval)
 
     def _scan_candidate(self, vm, candidate, frame, interval):
         hyp = self.hypervisor

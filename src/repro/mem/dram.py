@@ -58,6 +58,13 @@ class BandwidthWindow:
         self._buckets[bucket][source] += n_bytes
         self._totals[bucket] += n_bytes
 
+    def record_buckets(self, bucket_bytes, source):
+        """Add ``{bucket: n_bytes}`` as ``record`` calls would, in order."""
+        buckets, totals = self._buckets, self._totals
+        for bucket, n_bytes in bucket_bytes.items():
+            buckets[bucket][source] += n_bytes
+            totals[bucket] += n_bytes
+
     def peak_gbps(self):
         """Peak bandwidth over any window, in GB/s (decimal)."""
         if not self._totals:
@@ -123,7 +130,7 @@ class DRAMModel:
         )
         # CPU-cycle latency of each row-buffer outcome of a line access:
         # (hit, closed bank, row conflict).  Public for callers that
-        # inline the access (the controller's batched read).
+        # inline the access (the controller's read session).
         cfg = self.config
         transfer = self._transfer_cycles
         self.row_cycles = tuple(

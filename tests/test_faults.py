@@ -10,7 +10,7 @@ end-to-end campaign claims live in ``claims/test_fault_resilience.py``.
 import numpy as np
 import pytest
 
-from repro.common.config import KSMConfig, ResilienceConfig
+from repro.common.config import TAILBENCH_APPS, KSMConfig, ResilienceConfig
 from repro.common.units import PAGE_BYTES
 from repro.core.driver import PageForgeMergeDriver
 from repro.core.engine import PageForgeEngine
@@ -30,6 +30,7 @@ from repro.faults import (
 from repro.mem import MemoryController
 from repro.mem.controller import RequestDropped, UncorrectableLineError
 from repro.mem.requests import AccessSource
+from repro.sim.system import ServerSystem, SimulationScale
 
 
 def _engine_with_pages(memory, rng, n_pages):
@@ -447,6 +448,29 @@ class TestDriverRetryAndPoison:
         hypervisor.verify_consistency()
 
 
+    def test_failed_hint_keying_is_rejected_and_poisons(self):
+        # Serverless hosts offer hints at construction; under PageForge
+        # each hint is keyed through the engine, outside the scan loop.
+        system = ServerSystem(
+            TAILBENCH_APPS["moses"], mode="pageforge", scenario="serverless",
+            fault_plan=FaultPlan.uniform(0.05, seed=2),
+            scale=SimulationScale(pages_per_vm=100, n_vms=3), seed=7,
+        )
+        daemon = system.pf_driver.daemon
+        assert daemon.stats.candidates_poisoned > 0
+        unmergeable = {
+            (vm.vm_id, m.gpn): m.ppn
+            for vm in system.hypervisor.vms.values()
+            for m in vm.mappings() if not m.mergeable
+        }
+        assert unmergeable[(2, 48)] == 248  # the page whose line failed
+        assert len(unmergeable) == daemon.stats.candidates_poisoned
+        # Rejected hints are neither keyed nor queued.
+        assert not unmergeable.keys() & daemon._checksums.keys()
+        assert daemon.hints_accepted == len(daemon._pass_queue)
+        system.hypervisor.verify_consistency()
+
+
 @pytest.mark.slow
 class TestCampaignDeterminism:
     def test_tiny_campaign_clean_and_reproducible(self):
@@ -458,6 +482,17 @@ class TestCampaignDeterminism:
         assert first.clean
         assert first.fingerprint == second.fingerprint
         assert first.injected == second.injected
+
+    def test_esx_campaign_runs_without_walk_counters(self):
+        kwargs = dict(mode="esx", plan=FaultPlan.uniform(2e-3, seed=1,
+                                                         churn=True),
+                      seed=1, pages_per_vm=40, n_vms=3, intervals=5)
+        first = run_fault_campaign(**kwargs)
+        assert first.clean
+        assert first.merges > 0
+        # ESX-style buckets walk no tree, so nothing counts walk failures.
+        assert first.walk_failures == first.candidates_poisoned == 0
+        assert first.fingerprint == run_fault_campaign(**kwargs).fingerprint
 
     def test_quiet_plan_injects_nothing(self):
         result = run_fault_campaign(

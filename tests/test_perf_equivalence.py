@@ -25,6 +25,7 @@ from repro.core import (
     miss_sentinel,
 )
 from repro.core.hashkey import ecc_hash_key
+from repro.core.scan_table import ScanTableCorruption
 from repro.ecc.engine import ECCEngine
 from repro.ecc.hamming import (
     CODEWORD_BITS,
@@ -690,6 +691,17 @@ def _controller_state(mc):
     }
 
 
+@given(st.integers(0, 2**22 - 1), st.integers(0, 63))
+@settings(max_examples=200, deadline=None)
+def test_page_geometry_matches_map_line(ppn, line):
+    mc = MemoryController(0, PhysicalMemory(PAGE_BYTES), verify_ecc=False)
+    _channel, bank, row = mc.dram.map_line(ppn, line)
+    bank_tables = mc._bank_tables
+    assert len(bank_tables) == 2  # Table 2's geometry
+    assert bank_tables[ppn % len(bank_tables)][line] == bank
+    assert ppn // mc._pages_per_row == row
+
+
 @given(
     st.integers(0, 2**32 - 1),
     st.lists(st.integers(0, 2), min_size=1, max_size=2),
@@ -697,19 +709,23 @@ def _controller_state(mc):
     st.lists(st.tuples(st.integers(0, 2), st.integers(0, 63),
                        st.integers(-40, 400)), max_size=24),
     st.lists(st.tuples(st.integers(0, 2), st.integers(0, 63)), max_size=12),
-    st.sets(st.integers(0, 63), max_size=4),
     st.sampled_from([0, 8]),
     # The second start time lies 40 cycles before a bandwidth-window
     # boundary, so one call records into two windows.
     st.sampled_from([1e-6, 0.005 - 2e-8]),
+    st.sampled_from([0, 128, 1024]),
+    st.integers(1, 3),
 )
 @settings(max_examples=100, deadline=None)
 def test_batched_page_read_matches_per_line_reads(
-        seed, ppns, lines, pending, warm, code_lines, step, time_seconds):
+        seed, ppns, lines, pending, warm, step, time_seconds, traffic,
+        n_calls):
+    """A read session's lockstep reads and deferred accounting leave the
+    controller as the per-line ``read_line`` calls do."""
     lines = sorted(lines)
     runs = []
     for batched in (False, True):
-        _memory, mc = _frames_and_controller(seed)
+        memory, mc = _frames_and_controller(seed)
         frequency = mc.dram.cpu_frequency_hz
         for ppn, line in warm:  # open rows
             mc.dram.access_line(ppn, line, False, "core", 0.0)
@@ -717,27 +733,36 @@ def test_batched_page_read_matches_per_line_reads(
             mc._pending_reads[(ppn << 6) | line] = (
                 time_seconds + cycles / frequency
             )
-        if batched:
-            latencies, codes = mc.read_page_lines(
-                ppns, lines, AccessSource.PAGEFORGE, time_seconds, step,
-                code_lines=code_lines,
-            )
-        else:
-            latencies, codes, cycles = [], {}, 0
-            for line in lines:
-                now = time_seconds + cycles / frequency
-                slowest = 0
-                for i, ppn in enumerate(ppns):
-                    request, _data, code = mc.read_line(
-                        ppn, line, AccessSource.PAGEFORGE, now
+        session = mc.read_session(AccessSource.PAGEFORGE)
+        latencies = []
+        # Later calls start where the previous one ended, so they
+        # coalesce with its reads, before one flush.
+        start = time_seconds
+        for _ in range(n_calls):
+            if batched:
+                latency = session.read(
+                    [memory.frame(ppn) for ppn in ppns], lines, start, step
+                )
+                if traffic:
+                    session.add_traffic(start, traffic)
+            else:
+                latency = cycles = 0
+                for line in lines:
+                    now = start + cycles / frequency
+                    slowest = max(
+                        mc.read_line(ppn, line, AccessSource.PAGEFORGE,
+                                     now)[0].latency
+                        for ppn in ppns
                     )
-                    slowest = max(slowest, request.latency)
-                    if i == 0 and line in code_lines:
-                        codes[line] = code
-                latencies.append(slowest)
-                cycles += slowest + step
-        codes = {line: code.tolist() for line, code in codes.items()}
-        runs.append((latencies, codes, _controller_state(mc)))
+                    latency += slowest
+                    cycles += slowest + step
+                if traffic:
+                    mc.dram.stats.bytes_by_source["pageforge"] += traffic
+                    mc.dram.bandwidth.record(start, traffic, "pageforge")
+            latencies.append(latency)
+            start += (latency + len(lines) * step) / frequency
+        coalesced = session.flush() if batched else mc.stats.coalesced_requests
+        runs.append((latencies, coalesced, _controller_state(mc)))
     assert runs[0] == runs[1]
 
 
@@ -747,14 +772,27 @@ def _noop_fault_hook(ppn, line_index, data, code):
 
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from([2, 4, 8]),
+    st.sampled_from([1, 2, 4, 8]),
     st.lists(st.tuples(st.integers(0, 11), st.integers(0, 63),
                        st.sampled_from(_STATES)), max_size=20),
     st.integers(1, 6),
+    # Tables starting just before a bandwidth-window boundary record
+    # into two windows.
+    st.sampled_from([0.0, 0.005 - 2e-7]),
+    st.integers(0, 5),
 )
 @settings(max_examples=40, deadline=None)
 def test_engine_batched_compare_matches_per_line(seed, sampling, cached,
-                                                 n_tables):
+                                                 n_tables, start, corrupt):
+    """The fused Scan-Table walk leaves everything as the per-line path.
+
+    The reference arms a no-op fault hook, which sends every read of
+    every table through ``_fetch_line`` (and, at ``line_sampling=1``,
+    lets the fetched data decide each comparison).  Table ``corrupt``
+    (if any) loops its links back onto its first entry, so its walk
+    raises ``ScanTableCorruption`` after two comparisons; the table
+    and the accounting flushed at the raise must match too.
+    """
     n_pages = 12
     runs = []
     for forced_per_line in (False, True):
@@ -781,30 +819,86 @@ def test_engine_batched_compare_matches_per_line(seed, sampling, cached,
         engine = PageForgeEngine(mc, bus=bus, line_sampling=sampling)
         api = PageForgeAPI(engine)
         outcomes = []
-        for _ in range(n_tables):
-            n_entries = int(rng.integers(1, 8))
-            others = rng.integers(0, n_pages, size=n_entries)
-            for i, ppn in enumerate(others):
-                # Links only point forward, so a walk never cycles.
-                less, more = (
-                    int(rng.integers(i + 1, n_entries + 1))
-                    for _ in range(2)
-                )
-                api.insert_PPN(
-                    i, int(ppn),
-                    less if less < n_entries else miss_sentinel(i, "left"),
-                    more if more < n_entries else miss_sentinel(i, "right"),
-                )
-            api.insert_PFE(int(rng.integers(0, n_pages)),
-                           last_refill=bool(rng.integers(0, 2)))
+        for t in range(n_tables):
+            candidate = int(rng.integers(0, n_pages))
+            if t == corrupt:
+                # Two entries unlike the candidate: 0 -> 1 -> 0.
+                unlike = [
+                    ppn for ppn in range(n_pages)
+                    if not memory.frame(ppn).same_contents(
+                        memory.frame(candidate))
+                ]
+                for i in range(2):
+                    api.insert_PPN(i, int(rng.choice(unlike)), 1 - i, 1 - i)
+            else:
+                n_entries = int(rng.integers(1, 8))
+                others = rng.integers(0, n_pages, size=n_entries)
+                for i, ppn in enumerate(others):
+                    # Links only point forward, so a walk never cycles.
+                    less, more = (
+                        int(rng.integers(i + 1, n_entries + 1))
+                        for _ in range(2)
+                    )
+                    api.insert_PPN(
+                        i, int(ppn),
+                        less if less < n_entries
+                        else miss_sentinel(i, "left"),
+                        more if more < n_entries
+                        else miss_sentinel(i, "right"),
+                    )
+            api.insert_PFE(candidate, last_refill=bool(rng.integers(0, 2)))
             # Tables start a few hundred cycles apart: earlier reads are
             # often still in flight, so requests coalesce.
-            engine.process_table(float(rng.integers(0, 400)) / 2e9)
-            outcomes.append(api.get_PFE_info())
+            time_seconds = start + float(rng.integers(0, 400)) / 2e9
+            if t == corrupt:
+                with pytest.raises(ScanTableCorruption) as exc:
+                    engine.process_table(time_seconds)
+                outcomes.append((
+                    str(exc.value), [vars(e) for e in api.table.entries],
+                    _stats(engine.stats), _controller_state(mc),
+                ))
+            else:
+                engine.process_table(time_seconds)
+            outcomes.append(
+                (api.get_PFE_info(), dict(engine.keygen._minikeys))
+            )
             api.table.clear_entries()
         runs.append((
             outcomes, _stats(engine.stats),
             bus.snoop_probes, bus.supplied_from_cache,
             _controller_state(mc),
         ))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("sampling", [1, 8])
+def test_fused_walk_flushes_before_per_line_reads(sampling):
+    """A comparison that falls back to ``_fetch_line`` (a cached line)
+    follows one on the read session across a bandwidth-window boundary:
+    the session's buckets must reach the window first, as the per-line
+    reads would have recorded them."""
+    runs = []
+    for forced_per_line in (False, True):
+        memory, mc = _frames_and_controller(3, n_pages=3)
+        candidate, first, second = (f.ppn for f in memory.frames())
+        for ppn in (first, second):  # differ from the candidate late
+            page = memory.frame(candidate).data.copy()
+            page[-1 - ppn] ^= 0xFF
+            memory.frame(ppn).fill(page)
+        bus = SnoopBus()
+        l3 = SetAssocCache(ProcessorConfig().l3)
+        bus.register_shared(l3)
+        l3.insert(second * 64, MESIState.SHARED)
+        if forced_per_line:
+            mc.fault_hook = _noop_fault_hook
+        engine = PageForgeEngine(mc, bus=bus, line_sampling=sampling)
+        api = PageForgeAPI(engine)
+        api.insert_PPN(0, first, 1, 1)
+        api.insert_PPN(1, second, miss_sentinel(1, "left"),
+                       miss_sentinel(1, "right"))
+        api.insert_PFE(candidate, last_refill=True)
+        engine.process_table(mc.dram.bandwidth.window_seconds - 1e-6)
+        state = _controller_state(mc)
+        assert len(state["totals"]) == 2
+        runs.append((_stats(engine.stats), bus.snoop_probes, state))
     assert runs[0] == runs[1]
