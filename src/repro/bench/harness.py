@@ -77,6 +77,21 @@ def measure_op_ns(fn, ops_per_call=1, min_time_s=0.2, min_calls=3,
     return best / ops_per_call
 
 
+def measure_pair_ns(first, second, ops_per_call, min_time_s=0.2):
+    """``(first_ns, second_ns)``: :func:`measure_op_ns` of each, in five
+    alternating short measurements (``min_time_s`` per side in all), so
+    a slow stretch of a shared host hits both sides of a ratio.
+    """
+    rounds = 5
+    best = [float("inf"), float("inf")]
+    for _ in range(rounds):
+        for side, (fn, ops) in enumerate(zip((first, second), ops_per_call)):
+            best[side] = min(best[side], measure_op_ns(
+                fn, ops_per_call=ops, min_time_s=min_time_s / rounds,
+            ))
+    return best[0], best[1]
+
+
 def measure_once_ns(fn):
     """CPU nanoseconds of a single call (end-to-end runs)."""
     t0 = time.process_time_ns()

@@ -17,7 +17,12 @@ import time
 import numpy as np
 
 from repro.bench.fixtures import build_scan_fleet, churn_tail
-from repro.bench.harness import Metric, measure_once_ns, measure_op_ns
+from repro.bench.harness import (
+    Metric,
+    measure_once_ns,
+    measure_op_ns,
+    measure_pair_ns,
+)
 from repro.bench.scalar import ScalarKSMDaemon
 from repro.cache import SetAssocCache, SnoopBus
 from repro.common.config import KSMConfig, ProcessorConfig
@@ -172,12 +177,10 @@ def bench_hash_key(quick):
     pages = _tail_divergent_pages(n_pages)
     rows = np.ascontiguousarray(pages[:, :1024]).view(np.uint32)
     min_time = 0.1 if quick else 0.4
-    batch_ns = measure_op_ns(
+    batch_ns, scalar_ns = measure_pair_ns(
         lambda: jhash2_batch(rows, KSM_CHECKSUM_INITVAL),
-        ops_per_call=n_pages, min_time_s=min_time,
-    )
-    scalar_ns = measure_op_ns(
-        lambda: jhash2(rows[0], KSM_CHECKSUM_INITVAL), min_time_s=min_time,
+        lambda: jhash2(rows[0], KSM_CHECKSUM_INITVAL),
+        ops_per_call=(n_pages, 1), min_time_s=min_time,
     )
     key_pages = [pages[i] for i in range(min(n_pages, 64))]
 
@@ -295,17 +298,10 @@ def bench_pageforge_stream(quick):
         return run
 
     comparisons = n_candidates * n_others
-    batched, per_line = walker(False), walker(True)
-    # Alternate short measurements of the two, so that a slow stretch
-    # of a shared host hits both sides rather than one.
-    batched_ns = per_line_ns = float("inf")
-    for _ in range(5):
-        batched_ns = min(batched_ns, measure_op_ns(
-            batched, ops_per_call=comparisons, min_time_s=min_time / 5,
-        ))
-        per_line_ns = min(per_line_ns, measure_op_ns(
-            per_line, ops_per_call=comparisons, min_time_s=min_time / 5,
-        ))
+    batched_ns, per_line_ns = measure_pair_ns(
+        walker(False), walker(True),
+        ops_per_call=(comparisons, comparisons), min_time_s=min_time,
+    )
     return [
         Metric("pageforge_stream.ns_per_compare", batched_ns, "ns/cmp",
                higher_is_better=False),

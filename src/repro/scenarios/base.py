@@ -8,11 +8,10 @@ layers: :mod:`repro.workloads.memimage` image templates,
 :class:`WorkloadModel` bundles those decisions behind one object with a
 *port* per layer:
 
-* **images** — ``image_profile()`` / ``build_images()`` decide the
-  page-category mix and boot the guests (memimage port);
-* **churn** — ``churn_fraction()`` / ``make_churner()`` decide how hard
-  guests overwrite their churn pages (WriteChurner port, timed and
-  untimed hosts alike);
+* **images** — ``image_profile()`` decides the page-category mix the
+  host boots its guests from (memimage port);
+* **churn** — ``churn_fraction()`` decides how hard guests overwrite
+  their churn pages (the host's WriteChurner);
 * **arrivals** — ``arrival_qps()`` scales the per-VM offered load the
   timed simulator's :class:`~repro.workloads.tailbench.ArrivalProcess`
   draws from (sim/load port);
@@ -22,23 +21,24 @@ layers: :mod:`repro.workloads.memimage` image templates,
 * **hints** — ``merge_hints()`` names guest-known identical regions for
   the backend hint fast path (``repro.sim.backends.offer_hints``).
 
-Every hook is a pure function of its arguments and the RNG it is
-handed — scenarios own no RNG state, so callers keep full control of
-stream identity and the ``steady_state`` defaults stay bit-identical
-with the pre-registry code paths (the goldens prove it).
+Every hook is a pure function of its arguments — scenarios own no RNG
+state and build nothing.  One :class:`~repro.sim.host.FunctionalHost`
+reads the images, churn and hints ports for the timed and untimed runs
+alike, so callers keep full control of stream identity and the
+``steady_state`` defaults stay bit-identical with the pre-registry code
+paths (the goldens prove it).
 """
 
 from dataclasses import dataclass
 
 from repro.common.config import TAILBENCH_APPS
 from repro.common.rng import DeterministicRNG
-from repro.workloads.memimage import (
-    MemoryImageProfile,
-    WriteChurner,
-    build_vm_images,
-)
+from repro.workloads.memimage import MemoryImageProfile
 
 __all__ = ["ScenarioSpec", "WorkloadModel"]
+
+#: Fraction of churn pages the default scenario rewrites per churn tick.
+CHURN_FRACTION = 0.5
 
 
 class WorkloadModel:
@@ -64,22 +64,11 @@ class WorkloadModel:
         """Page-category mix for one guest of ``app``."""
         return MemoryImageProfile.for_app(app, pages_per_vm)
 
-    def build_images(self, hypervisor, app, n_vms, pages_per_vm, rng):
-        """Boot ``n_vms`` guests from the scenario's image profile."""
-        profile = self.image_profile(app, pages_per_vm)
-        return build_vm_images(hypervisor, profile, n_vms, rng)
-
     # Write churn (WriteChurner port) ---------------------------------------------
 
-    def churn_fraction(self, scale):
+    def churn_fraction(self):
         """Fraction of churn pages rewritten per churn tick."""
-        return scale.churn_pages_per_tick
-
-    def make_churner(self, hypervisor, images, rng, scale):
-        return WriteChurner(
-            hypervisor, images.churn_pages, rng,
-            fraction_per_tick=self.churn_fraction(scale),
-        )
+        return CHURN_FRACTION
 
     # Query arrivals (sim/load port) ----------------------------------------------
 
@@ -106,9 +95,9 @@ class ScenarioSpec:
 
     Bundles the scenario name with the world-shape knobs (app, VM count,
     pages per VM, seed) every consumer needs, and derives the *same*
-    content RNG stream :class:`~repro.sim.system.ServerSystem` uses, so
-    a spec built here is bit-identical to the images inside a timed run
-    with the same parameters.
+    content RNG stream :class:`~repro.sim.system.ServerSystem`'s host
+    uses, so a spec's :meth:`host` is bit-identical to the guests inside
+    a timed run with the same parameters.
     """
 
     scenario: str = "steady_state"
@@ -141,9 +130,14 @@ class ScenarioSpec:
         """The image-content stream, derived exactly as ServerSystem does."""
         return DeterministicRNG(self.seed, self.app).derive("content")
 
-    def build_images(self, hypervisor):
-        """Boot this spec's guests into ``hypervisor``."""
-        return self.model().build_images(
-            hypervisor, self.app_config, self.n_vms,
-            self.pages_per_vm, self.content_rng(),
+    def host(self, backend=None, **options):
+        """A :class:`~repro.sim.host.FunctionalHost` booted from this spec
+        on :meth:`content_rng`'s stream; ``options`` go to the host."""
+        # Lazy: repro.sim imports this package.
+        from repro.sim.host import FunctionalHost
+
+        return FunctionalHost(
+            self.content_rng().name, backend=backend, app=self.app,
+            n_vms=self.n_vms, pages_per_vm=self.pages_per_vm,
+            seed=self.seed, scenario=self.scenario, **options,
         )

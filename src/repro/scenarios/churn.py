@@ -27,5 +27,5 @@ class ChurnScenario(WorkloadModel):
         profile = super().image_profile(app, pages_per_vm)
         return replace(profile, churn_frac=self.churn_frac)
 
-    def churn_fraction(self, scale):
+    def churn_fraction(self):
         return 1.0

@@ -173,20 +173,15 @@ def run_cold_start_study(backend="ksm", app="moses", n_sandboxes=8,
     # package init, before repro.sim exists on some import paths.
     from repro.common.config import KSMConfig
     from repro.sim.backends import offer_hints
-    from repro.sim.host import FunctionalHost
     from repro.verify.invariants import InvariantAuditor
 
     spec = ScenarioSpec("serverless", app, n_sandboxes, pages_per_vm, seed)
 
     def _run(hinted):
-        # The content stream is the one ServerSystem and ScenarioSpec use.
-        host = FunctionalHost(
-            spec.content_rng().name, backend=backend, app=app,
-            n_vms=n_sandboxes, pages_per_vm=pages_per_vm, seed=seed,
-            pages_to_scan=KSMConfig.pages_to_scan, scenario="serverless",
-        )
+        # The content stream is the one ServerSystem's host uses.
+        host = spec.host(backend, pages_to_scan=KSMConfig.pages_to_scan)
         auditor = host.attach_auditor(InvariantAuditor())
-        hints = tuple(spec.model().merge_hints(host.images))
+        hints = tuple(host.scenario.merge_hints(host.images))
         accepted = offer_hints(host.bundle, hints)["accepted"] if hinted else 0
         budget = scan_budget if scan_budget else max(1, len(hints))
         footprints = [host.footprint()]

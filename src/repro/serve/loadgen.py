@@ -255,12 +255,15 @@ class _Client(threading.Thread):
                 pass
 
 
-def run_loadgen(spec, base_url, run_name=None):
+def run_loadgen(spec, base_url, run_name=None, slices=1, between=None):
     """Drive one open-loop run against ``base_url``; returns the result.
 
     Latency is wall-clock from the scheduled arrival instant (open-loop
     convention), ``service_s`` from the actual send — the gap between
-    them is client-side dispatch queueing.
+    them is client-side dispatch queueing.  With ``slices > 1`` the
+    schedule goes out in that many equal time slices, and ``between()``
+    runs after each slice but the last, with none of this run's requests
+    in flight; what it sends stays out of this run's accounting.
     """
     spec = spec.resolved()
     host, port = _parse_base_url(base_url)
@@ -276,18 +279,30 @@ def run_loadgen(spec, base_url, run_name=None):
     for worker in workers:
         worker.start()
 
-    start = time.monotonic()
-    for index, at, heavy, tenant in schedule:
-        delay = (start + at) - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-        work.put((index, start + at, heavy, tenant))
-    work.join()
+    slice_s = spec.duration_s / slices
+    elapsed = 0.0
+    for k in range(slices):
+        if k:
+            paused = _fetch_admission(base_url)
+            between()
+            admission_before = _add_counters(admission_before, _admission_delta(
+                paused, _fetch_admission(base_url)
+            ))
+        start = time.monotonic()
+        origin = start - k * slice_s
+        for index, at, heavy, tenant in schedule:
+            if min(int(at // slice_s), slices - 1) != k:
+                continue
+            delay = (origin + at) - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+            work.put((index, origin + at, heavy, tenant))
+        work.join()
+        elapsed += time.monotonic() - start
     for _ in workers:
         work.put(None)
     for worker in workers:
         worker.join(timeout=5)
-    elapsed = time.monotonic() - start
 
     return _summarize_run(spec, records, elapsed, base_url, run_name,
                           admission_before)
@@ -386,6 +401,15 @@ def _admission_delta(before, after):
     return out
 
 
+def _add_counters(ledger, delta):
+    """``ledger`` with ``delta``'s counters added; gauges stay as they are."""
+    return {
+        key: value + delta.get(key, 0)
+        if key not in _ADMISSION_GAUGES and isinstance(value, int) else value
+        for key, value in ledger.items()
+    }
+
+
 def _publish_run(spec, result, records, run_name):
     """Write the per-run result directory; every file atomic."""
     name = run_name or f"run.qps{int(spec.target_qps)}-seed{spec.seed}"
@@ -463,6 +487,12 @@ class OverloadVerdict:
                 and self.deadline_violations == 0)
 
 
+#: The capacity probe and the overload window are each cut into this many
+#: slices, run alternately (probe, overload, probe, ...), so a slow
+#: stretch of a shared host lands on both sides of the goodput ratio.
+OVERLOAD_SLICES = 4
+
+
 def run_overload_check(server, overload_factor=2.0, probe_s=1.0,
                        duration_s=2.0, goodput_floor=0.5,
                        heavy_frac=0.5, heavy_pages=400,
@@ -472,24 +502,33 @@ def run_overload_check(server, overload_factor=2.0, probe_s=1.0,
     ``server`` is a started :class:`~repro.serve.server.MergeServer`.
     The probe and the overload run offer the same heavy/light mix (a
     heavy-leaning one by default, so 2x capacity is *real* overload and
-    the shed machinery actually engages).  Returns an
+    the shed machinery actually engages).  Both run in
+    :data:`OVERLOAD_SLICES` interleaved slices of ``probe_s`` and
+    ``duration_s``: the first probe slice sets the offered rate, and
+    the capacity is the mean over all probe slices.  Returns an
     :class:`OverloadVerdict`; the ``serve`` bench suite and the CI
     ``serve-overload`` job assert ``verdict.ok``.
     """
     base_url = server.base_url
-    capacity = measure_capacity(
-        base_url, probe_s=probe_s, heavy_frac=heavy_frac,
-        heavy_pages=heavy_pages, seed=seed,
-    )
-    if capacity <= 0:
+
+    def probe():
+        return measure_capacity(
+            base_url, probe_s=probe_s / OVERLOAD_SLICES,
+            heavy_frac=heavy_frac, heavy_pages=heavy_pages, seed=seed,
+        )
+
+    rates = [probe()]
+    if rates[0] <= 0:
         raise RuntimeError("capacity probe measured zero throughput")
-    target = min(capacity * overload_factor, max_target_qps)
+    target = min(rates[0] * overload_factor, max_target_qps)
     spec = LoadSpec(
         target_qps=target, duration_s=duration_s, seed=seed,
         heavy_frac=heavy_frac, heavy_pages=heavy_pages,
         deadline_ms=2000, out_dir=out_dir,
     )
-    result = run_loadgen(spec, base_url)
+    result = run_loadgen(spec, base_url, slices=OVERLOAD_SLICES,
+                         between=lambda: rates.append(probe()))
+    capacity = sum(rates) / len(rates)
     # The denominator is what one engine could have served over the
     # window: full capacity, or less when max_target_qps capped the
     # offered load below capacity x factor.

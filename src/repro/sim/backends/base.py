@@ -1,24 +1,23 @@
 """The MergeBackend protocol: what a merging configuration must provide.
 
-A backend has two faces over one :class:`MergerBundle`:
+A backend builds its merging objects in one classmethod,
+:meth:`MergeBackend.build_bundle`, which returns a :class:`MergerBundle`.
+Both faces call it through ``FunctionalHost.build_merge_stack``
+(:mod:`repro.sim.host`): an untimed host (the Figure 7 savings runner,
+the crash-safe recovery runner, campaigns, the merge service) drives
+the bundle directly, and a :class:`~repro.sim.system.ServerSystem` owns
+a host and passes the timed pieces (its machine, home memory
+controller and cache-cost sink).  ``capture_functional()`` /
+``restore_functional()`` are the snapshot boundary ``recovery.serialize``
+uses.
 
-* **Timed** (instance methods): wired into a live
-  :class:`~repro.sim.system.ServerSystem`.  ``build()`` constructs the
-  merging machinery against the system's hypervisor/controllers and
-  sets ``self.bundle``, ``start()`` schedules the first ``_wake`` on
-  the event queue, and the backend thereafter drives itself via
-  ``ServerSystem.schedule_kernel_chunk``.  ``summarize()`` folds
-  backend-specific columns into the experiment's ``LatencySummary`` and
-  ``register_metrics()`` publishes counters into the system's
-  :class:`~repro.sim.metrics.MetricsRegistry`.
-
-* **Functional** (classmethods): the untimed merging stack the
-  Figure 7 savings runner and the crash-safe recovery runner drive
-  directly, with no event queue.  ``build_functional()`` returns a
-  :class:`MergerBundle`; ``capture_functional()`` /
-  ``restore_functional()`` are the stable per-component snapshot
-  boundary ``recovery.serialize`` used to reach into ``ServerSystem``
-  internals for.
+The timed face is the instance: it reads the host's bundle,
+``start()`` schedules the first ``_wake`` on the event queue, and the
+backend thereafter drives itself via
+``ServerSystem.schedule_kernel_chunk``.  ``summarize()`` folds
+backend-specific columns into the experiment's ``LatencySummary`` and
+``register_metrics()`` publishes counters into the system's
+:class:`~repro.sim.metrics.MetricsRegistry`.
 
 Every question a caller asks of a merge stack is answered once over
 the bundle, for both faces: :func:`offer_hints` (user-guided merge
@@ -32,7 +31,7 @@ an empty subclass and every hook is optional for new backends.
 """
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 
 @dataclass
@@ -77,16 +76,27 @@ class MergeBackend:
     #: Whether ``recovery.runner.RecoverableRun`` can checkpoint/resume
     #: this backend (needs a daemon whose trees serialize).
     supports_recovery = False
-    #: Set by ``build()``; ``None`` means no merging machinery.
-    bundle: Optional[MergerBundle] = None
 
-    def __init__(self, system):
-        self.system = system
+    @classmethod
+    def build_bundle(cls, hypervisor, machine, *, controller=None,
+                     cost_sink=None, line_sampling=8, verify_ecc=False):
+        """Build the merging objects over ``hypervisor``.
+
+        Returns a :class:`MergerBundle`, or ``None`` for no merging.
+        ``machine`` supplies the KSM, PageForge and processor settings.
+        A timed host also passes the home ``controller`` and the
+        ``cost_sink`` its software scans stream through; an untimed one
+        leaves both ``None`` (PageForge then builds its own controller).
+        ``line_sampling`` and ``verify_ecc`` set the PageForge fetch path.
+        """
+        return None
 
     # Timed face -----------------------------------------------------------------
 
-    def build(self):
-        """Construct merging machinery against ``self.system``."""
+    def __init__(self, system):
+        self.system = system
+        #: The host's merge stack; ``None`` means no merging machinery.
+        self.bundle = system.host.bundle
 
     def start(self, events):
         """Schedule the first wake (no-op without merging machinery)."""
@@ -106,15 +116,7 @@ class MergeBackend:
     def summarize(self, summary):
         """Fold backend-specific columns into a LatencySummary."""
 
-    # Functional face -------------------------------------------------------------
-
-    @classmethod
-    def build_functional(cls, hypervisor, ksm_config, *, line_sampling=8,
-                         verify_ecc=False, resilience=None):
-        """Build the untimed merging stack; returns a MergerBundle."""
-        raise ValueError(
-            f"backend {cls.name!r} has no functional merging stack"
-        )
+    # Functional state ------------------------------------------------------------
 
     @classmethod
     def capture_functional(cls, bundle):

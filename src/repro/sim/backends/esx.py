@@ -38,12 +38,16 @@ class ESXBackend(MergeBackend):
     # validator audits KSM trees, so crash-safe runs exclude it.
     supports_recovery = False
 
+    @classmethod
+    def build_bundle(cls, hypervisor, machine, *, controller=None,
+                     cost_sink=None, line_sampling=8, verify_ecc=False):
+        return MergerBundle(merger=ESXStyleMerger(hypervisor))
+
     # Timed face -----------------------------------------------------------------
 
-    def build(self):
-        system = self.system
-        self.merger = ESXStyleMerger(system.hypervisor)
-        self.bundle = MergerBundle(merger=self.merger)
+    def __init__(self, system):
+        super().__init__(system)
+        self.merger = self.bundle.merger
 
     def _wake(self):
         self.system.schedule_kernel_chunk(
@@ -54,8 +58,7 @@ class ESXBackend(MergeBackend):
         """Execute one bucket-scan interval; returns core occupancy (s)."""
         system = self.system
         now = system.events.now
-        system.churner.tick()
-        interval = self.merger.scan_pages(system.machine.ksm.pages_to_scan)
+        interval = system.host.scan(system.machine.ksm.pages_to_scan)
         # Every scanned page is hashed in full (the ESX key must
         # discriminate, not just detect writes); compares happen only on
         # bucket collisions.
@@ -67,17 +70,12 @@ class ESXBackend(MergeBackend):
         stalls = floored_scan_stalls(
             system, 2 * interval.bytes_compared + hash_bytes, now
         )
-        timing = system.ksm_timing
-        timing.compare_cycles += compare_cpu + stalls * (
-            compare_cpu / (compare_cpu + hash_cpu)
-            if (compare_cpu + hash_cpu) > 0 else 0.0
+        cpu = compare_cpu + hash_cpu
+        system.ksm_timing.charge(
+            compare_cpu + stalls * (compare_cpu / cpu if cpu > 0 else 0.0),
+            hash_cpu + stalls * (hash_cpu / cpu if cpu > 0 else 0.0),
+            other_cpu,
         )
-        timing.hash_cycles += hash_cpu + stalls * (
-            hash_cpu / (compare_cpu + hash_cpu)
-            if (compare_cpu + hash_cpu) > 0 else 0.0
-        )
-        timing.other_cycles += other_cpu
-        timing.intervals += 1
         total = compare_cpu + hash_cpu + other_cpu + stalls
         return total / system.freq
 
@@ -93,12 +91,7 @@ class ESXBackend(MergeBackend):
         summary.ksm_compare_share = compare
         summary.ksm_hash_share = hsh
 
-    # Functional face -------------------------------------------------------------
-
-    @classmethod
-    def build_functional(cls, hypervisor, ksm_config, *, line_sampling=8,
-                         verify_ecc=False, resilience=None):
-        return MergerBundle(merger=ESXStyleMerger(hypervisor))
+    # Functional state ------------------------------------------------------------
 
     @classmethod
     def capture_functional(cls, bundle):

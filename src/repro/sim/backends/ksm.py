@@ -11,7 +11,7 @@ per-interval page quota, and the post-interval cost observation.
 
 from repro.ksm import KSMDaemon
 from repro.sim.backends.base import MergeBackend, MergerBundle
-from repro.sim.backends.cachecost import CacheCostSink, software_scan_cycles
+from repro.sim.backends.cachecost import software_scan_cycles
 from repro.sim.backends.registry import register_backend
 
 
@@ -21,23 +21,17 @@ class KSMSoftwareBackend(MergeBackend):
 
     supports_recovery = True
 
+    @classmethod
+    def build_bundle(cls, hypervisor, machine, *, controller=None,
+                     cost_sink=None, line_sampling=8, verify_ecc=False):
+        daemon = KSMDaemon(hypervisor, machine.ksm, cost_sink=cost_sink)
+        return MergerBundle(merger=daemon, daemon=daemon)
+
     # Timed face -----------------------------------------------------------------
 
-    def build(self):
-        system = self.system
-        self.cost_sink = CacheCostSink(system)
-        self.daemon = self._make_daemon()
-        self.bundle = MergerBundle(merger=self.daemon, daemon=self.daemon)
-        # Legacy attribute: tests and tools reach the daemon as
-        # ``system.ksm``.
-        system.ksm = self.daemon
-
-    def _make_daemon(self):
-        system = self.system
-        return KSMDaemon(
-            system.hypervisor, system.machine.ksm,
-            cost_sink=self.cost_sink,
-        )
+    def __init__(self, system):
+        super().__init__(system)
+        self.daemon = self.bundle.daemon
 
     def _wake(self):
         # The chunk must occupy the chosen core *as ksmd*: the cost sink
@@ -58,25 +52,21 @@ class KSMSoftwareBackend(MergeBackend):
         """Execute one scan interval; returns its core occupancy (s)."""
         system = self.system
         now = system.events.now
-        self.cost_sink.reset()
-        system.churner.tick()
-        interval = self.daemon.scan_pages(self._chunk_quota())
+        sink = system.cost_sink
+        sink.reset()
+        interval = system.host.scan(self._chunk_quota())
         # Memory stalls measured through the cache model are added to
         # the CPU cost per category.
         compare_cpu, hash_cpu, other_cpu = software_scan_cycles(
             interval.bytes_compared + interval.merge_verify_bytes,
             interval.checksum_bytes, interval.pages_scanned,
         )
-        stalls = self.cost_sink.stalls_by_category
+        stalls = sink.stalls_by_category
         compare_total = compare_cpu + stalls.get("compare", 0.0)
         hash_total = hash_cpu + stalls.get("hash", 0.0)
-        timing = system.ksm_timing
-        timing.compare_cycles += compare_total
-        timing.hash_cycles += hash_total
-        timing.other_cycles += other_cpu
-        timing.intervals += 1
+        system.ksm_timing.charge(compare_total, hash_total, other_cpu)
         # The interval's stream displaced L3 contents.
-        system.add_pollution(self.cost_sink.lines_streamed * 64, now)
+        system.add_pollution(sink.lines_streamed * 64, now)
         total_cycles = compare_total + hash_total + other_cpu
         self._observe_chunk(interval, total_cycles)
         return total_cycles / system.freq
@@ -86,13 +76,7 @@ class KSMSoftwareBackend(MergeBackend):
         summary.ksm_compare_share = compare
         summary.ksm_hash_share = hsh
 
-    # Functional face -------------------------------------------------------------
-
-    @classmethod
-    def build_functional(cls, hypervisor, ksm_config, *, line_sampling=8,
-                         verify_ecc=False, resilience=None):
-        daemon = KSMDaemon(hypervisor, ksm_config)
-        return MergerBundle(merger=daemon, daemon=daemon)
+    # Functional state ------------------------------------------------------------
 
     @classmethod
     def capture_functional(cls, bundle):

@@ -11,7 +11,6 @@ with stalls estimated in bulk.
 
 from repro.core.driver import PageForgeMergeDriver
 from repro.mem import MemoryController
-from repro.mem.controller import home_controller_for
 from repro.sim.backends.base import MergeBackend, MergerBundle
 from repro.sim.backends.cachecost import (
     floored_scan_stalls,
@@ -26,53 +25,44 @@ class PageForgeBackend(MergeBackend):
 
     supports_recovery = True
 
-    # Timed face -----------------------------------------------------------------
-
-    def build(self):
-        system = self.system
-        home = home_controller_for(
-            system.controllers, system.machine.pageforge
-        )
-        if system.fault_plan is not None:
-            # Faults only matter if the SECDED decode actually runs.
-            home.verify_ecc = True
-        self.driver = PageForgeMergeDriver(
-            system.hypervisor,
-            home,
-            bus=system.bus,
-            ksm_config=system.machine.ksm,
-            pf_config=system.machine.pageforge,
-            line_sampling=8,
-            resilience=system.resilience,
+    @classmethod
+    def build_bundle(cls, hypervisor, machine, *, controller=None,
+                     cost_sink=None, line_sampling=8, verify_ecc=False):
+        if controller is None:
+            controller = MemoryController(0, hypervisor.memory)
+        # Faults only matter if the SECDED decode actually runs.
+        controller.verify_ecc = verify_ecc
+        driver = PageForgeMergeDriver(
+            hypervisor, controller, bus=hypervisor.bus,
+            ksm_config=machine.ksm, pf_config=machine.pageforge,
+            line_sampling=line_sampling,
         )
         # The driver scans; its daemon holds the trees and the hint
         # queue (hinted pages are keyed by the engine's ECC hash).
-        self.bundle = MergerBundle(
-            merger=self.driver, daemon=self.driver.daemon, driver=self.driver
-        )
-        system.pf_driver = self.driver
-        if system.fault_plan is not None:
-            from repro.faults import arm_bundle
+        return MergerBundle(merger=driver, daemon=driver.daemon, driver=driver)
 
-            system.fault_injector, system.pf_governor = arm_bundle(
-                self.bundle, system.fault_plan
-            )
+    # Timed face -----------------------------------------------------------------
+
+    def __init__(self, system):
+        super().__init__(system)
+        self.driver = self.bundle.driver
 
     def _wake(self):
         system = self.system
         now = system.events.now
         system.memmodel.touch(now)
-        system.churner.tick()
+        system.host.churner.tick()
         sleep_s = system.machine.ksm.sleep_millisecs / 1000.0
-        if system.pf_governor is not None:
-            self.driver.set_backend(system.pf_governor.plan_interval())
+        governor = system.host.governor
+        if governor is not None:
+            self.driver.set_backend(governor.plan_interval())
         if self.driver.backend == "software":
             # Degraded interval: same daemon, software primitives.  The
             # engine is idle, so the work occupies a core like ksmd does.
             interval = self.driver.scan_pages(
                 system.machine.ksm.pages_to_scan, now=now
             )
-            system.pf_governor.observe(*self.driver.fault_observations())
+            governor.observe(*self.driver.fault_observations())
             cpu_cycles = self._degraded_chunk_cycles(interval, now)
             system.schedule_kernel_chunk(lambda: cpu_cycles / system.freq)
             system.events.schedule_in(
@@ -83,8 +73,8 @@ class PageForgeBackend(MergeBackend):
         self.driver.scan_pages(
             system.machine.ksm.pages_to_scan, now=now
         )
-        if system.pf_governor is not None:
-            system.pf_governor.observe(*self.driver.fault_observations())
+        if governor is not None:
+            governor.observe(*self.driver.fault_observations())
         hw_cycles = self.driver.drain_engine_cycles()
         refills = self.driver.strategy.table_refills - refills_before
         hw_s = hw_cycles / system.freq
@@ -114,11 +104,7 @@ class PageForgeBackend(MergeBackend):
             system, 2 * interval.bytes_compared + interval.checksum_bytes,
             now,
         )
-        timing = system.ksm_timing
-        timing.compare_cycles += compare_cpu
-        timing.hash_cycles += hash_cpu
-        timing.other_cycles += other_cpu + stalls
-        timing.intervals += 1
+        system.ksm_timing.charge(compare_cpu, hash_cpu, other_cpu + stalls)
         return int(compare_cpu + hash_cpu + other_cpu + stalls)
 
     def register_metrics(self, registry):
@@ -146,19 +132,7 @@ class PageForgeBackend(MergeBackend):
             self.driver.hw_stats.std_table_cycles
         )
 
-    # Functional face -------------------------------------------------------------
-
-    @classmethod
-    def build_functional(cls, hypervisor, ksm_config, *, line_sampling=8,
-                         verify_ecc=False, resilience=None):
-        controller = MemoryController(
-            0, hypervisor.memory, verify_ecc=verify_ecc
-        )
-        driver = PageForgeMergeDriver(
-            hypervisor, controller, ksm_config=ksm_config,
-            line_sampling=line_sampling, resilience=resilience,
-        )
-        return MergerBundle(merger=driver, daemon=driver.daemon, driver=driver)
+    # Functional state ------------------------------------------------------------
 
     @classmethod
     def capture_functional(cls, bundle):

@@ -38,12 +38,16 @@ class UKSMBackend(KSMSoftwareBackend):
 
     supports_recovery = True
 
-    def _make_daemon(self):
-        system = self.system
-        return UKSMDaemon(
-            system.hypervisor, _uksm_config(system.machine.ksm),
-            cost_sink=self.cost_sink, frequency_hz=system.freq,
+    @classmethod
+    def build_bundle(cls, hypervisor, machine, *, controller=None,
+                     cost_sink=None, line_sampling=8, verify_ecc=False):
+        daemon = UKSMDaemon(
+            hypervisor, _uksm_config(machine.ksm), cost_sink=cost_sink,
+            frequency_hz=machine.processor.frequency_hz,
         )
+        return MergerBundle(merger=daemon, daemon=daemon)
+
+    # Timed face -----------------------------------------------------------------
 
     def _chunk_quota(self):
         # UKSM's defining knob: the quota adapts so the daemon spends
@@ -63,13 +67,7 @@ class UKSMBackend(KSMSoftwareBackend):
             "cpu_budget_frac": self.daemon.config.cpu_budget_frac,
         })
 
-    # Functional face -------------------------------------------------------------
-
-    @classmethod
-    def build_functional(cls, hypervisor, ksm_config, *, line_sampling=8,
-                         verify_ecc=False, resilience=None):
-        daemon = UKSMDaemon(hypervisor, _uksm_config(ksm_config))
-        return MergerBundle(merger=daemon, daemon=daemon)
+    # Functional state ------------------------------------------------------------
 
     @classmethod
     def capture_functional(cls, bundle):

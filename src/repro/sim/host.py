@@ -1,27 +1,26 @@
-"""The untimed host: one hypervisor, its guest images, and one merger.
+"""The host: one hypervisor, its guest images, churn, and one merge stack.
 
-Every functional (event-queue-free) run drives a :class:`FunctionalHost`
-— the Figure 7 savings and Figure 8 hash-key runs, the crash-safe
-recoverable run, the differential oracle harness, the chaos campaigns,
-the serverless cold-start study, VM migration between fleet hosts, and
-the live merge service.  Callers configure a host instead of assembling
-hypervisor + images + merger themselves, so the capacity rule, the app
-lookup, backend construction, the armed chaos interval, and VM landing
-each live here once.  (The timed :class:`~repro.sim.system.ServerSystem`
-shares the capacity rule, and builds, arms and audits its merge stack
-through the same :class:`~repro.sim.backends.base.MergerBundle` helpers.)
+Every run's host is a :class:`FunctionalHost`.  Untimed runs drive one
+directly — the Figure 7 savings and Figure 8 hash-key runs, the
+crash-safe recoverable run, the differential oracle harness, the chaos
+campaigns, the serverless cold-start study, VM migration between fleet
+hosts, and the live merge service — and the timed
+:class:`~repro.sim.system.ServerSystem` owns one and adds only the
+timing.  So the capacity rule, the app lookup, image boot, churn,
+backend construction, fault arming, auditor wiring, hints, the armed
+chaos interval and VM landing each live here once.
 """
 
 import hashlib
 
 import numpy as np
 
-from repro.common.config import KSMConfig, TAILBENCH_APPS
+from repro.common.config import KSMConfig, MachineConfig, TAILBENCH_APPS
 from repro.common.rng import DeterministicRNG
 from repro.common.units import PAGE_BYTES
 from repro.mem import PhysicalMemory
 from repro.scenarios import get_scenario
-from repro.sim.backends import get_backend
+from repro.sim.backends import get_backend, offer_hints
 from repro.virt import Hypervisor
 from repro.workloads.memimage import WriteChurner, build_vm_images
 
@@ -62,17 +61,18 @@ def frame_digest_counts(hypervisor):
 
 
 class FunctionalHost:
-    """One host's untimed merging stack.
+    """One host's merging stack, on its own or under a timed system.
 
     ``host_id`` names the host's RNG stream.  A fleet host passes its
     integer id: stream ``fleet/host{id}``, VMs named ``h{id}-vm{i}``.  A
     single-host run passes its own stream name (``fig7/moses``,
-    ``verify-diff/moses``, ...) and gets VMs ``vm{i}``.
+    ``{app}/content`` for a timed system, ...) and gets VMs ``vm{i}``.
 
-    ``backend`` is a registered merge backend, built through its
-    ``build_functional`` face; ``None`` builds a host with no merger.
-    ``scenario`` picks the guest image profile and the churn rate.
-    ``churn`` starts a write churner over the images' churn population.
+    ``backend`` is a registered merge backend (``None``: no merger).
+    ``scenario`` picks the guest image profile, the churn rate and the
+    merge hints.  ``churn`` starts a write churner over the images'
+    churn population.  ``bus`` is the snoop bus the hypervisor
+    invalidates on remap (a timed system's).
 
     ``fault_plan`` arms the host for chaos runs: the merger compares
     every line with the SECDED decode on (the real, injectable fetch
@@ -90,9 +90,8 @@ class FunctionalHost:
     def __init__(self, host_id, backend="ksm", app="moses", n_vms=3,
                  pages_per_vm=120, seed=2017, pages_to_scan=4000,
                  churn=False, scenario="steady_state", fault_plan=None,
-                 state=None):
+                 state=None, bus=None):
         self.host_id = host_id
-        self.backend = backend
         self.app = resolve_app(app)
         if isinstance(host_id, str):
             stream, vm_prefix = host_id, "vm"
@@ -101,46 +100,55 @@ class FunctionalHost:
         self.rng = DeterministicRNG(seed, stream)
         self.hypervisor = Hypervisor(physical_memory=PhysicalMemory(
             host_capacity_bytes(pages_per_vm, n_vms)
-        ))
-        # Lazy: repro.sim.system imports this module.
-        from repro.sim.system import SimulationScale
-
-        model = get_scenario(scenario)()
-        self.churn_fraction = model.churn_fraction(SimulationScale())
+        ), bus=bus)
+        self.scenario = get_scenario(scenario)()
+        self.churn_fraction = self.scenario.churn_fraction()
         self.images = None
         self.churner = None
         if state is None:
-            profile = model.image_profile(self.app, pages_per_vm)
+            profile = self.scenario.image_profile(self.app, pages_per_vm)
             self.images = build_vm_images(
                 self.hypervisor, profile, n_vms, self.rng,
                 name_prefix=vm_prefix,
             )
             if churn:
                 self.start_churn(self.images.churn_pages)
-        self.config = KSMConfig(pages_to_scan=pages_to_scan)
-        self.backend_cls = None
-        self.bundle = None
-        self.merger = None
-        if backend is not None:
-            self.backend_cls = get_backend(backend)
-            # Faults only matter on the real fetch path: every line,
-            # through the SECDED decode.
-            armed = {} if fault_plan is None else {
-                "line_sampling": 1, "verify_ecc": True,
-            }
-            self.bundle = self.backend_cls.build_functional(
-                self.hypervisor, self.config, **armed
+        # Faults only matter on the real fetch path: an armed untimed
+        # host compares every line, through the SECDED decode.
+        machine = MachineConfig(ksm=KSMConfig(pages_to_scan=pages_to_scan))
+        self.build_merge_stack(
+            backend, machine, fault_plan,
+            line_sampling=8 if fault_plan is None else 1,
+        )
+        if backend is not None and self.bundle is None:
+            raise ValueError(
+                f"backend {backend!r} has no functional merging stack"
             )
-            self.merger = self.bundle.merger
-        self.injector = None
-        self.governor = None
+        if state is not None:
+            self._restore(state)
+
+    def build_merge_stack(self, backend, machine, fault_plan=None, **parts):
+        """Build ``backend``'s merge stack and arm it with ``fault_plan``.
+
+        ``machine`` (whose ``ksm.pages_to_scan`` is :meth:`scan`'s
+        default) and ``parts`` go to the backend's ``build_bundle``; an
+        armed stack reads with the SECDED decode on.
+        """
+        self.backend = backend
+        self.config = machine.ksm
+        self.backend_cls = None if backend is None else get_backend(backend)
+        self.bundle = None if backend is None else self.backend_cls.build_bundle(
+            self.hypervisor, machine, verify_ecc=fault_plan is not None,
+            **parts,
+        )
+        self.merger = None if self.bundle is None else self.bundle.merger
+        self.injector = self.governor = None
         if fault_plan is not None:
             # Lazy: repro.faults.campaign imports this module.
             from repro.faults import arm_bundle
 
             self.injector, self.governor = arm_bundle(self.bundle, fault_plan)
-        if state is not None:
-            self._restore(state)
+        return self.bundle
 
     def start_churn(self, churn_pages, fraction_per_tick=None):
         """Rewrite part of ``churn_pages`` ((vm_id, gpn) pairs) per tick.
@@ -274,6 +282,11 @@ class FunctionalHost:
     def attach_auditor(self, auditor):
         """Wire an InvariantAuditor into this host's merge events."""
         return auditor.attach_bundle(self.bundle, self.hypervisor)
+
+    def offer_hints(self):
+        """Offer the scenario's merge hints: ``{"offered", "accepted", "ignored"}``."""
+        hints = tuple(self.scenario.merge_hints(self.images))
+        return {"offered": len(hints), **offer_hints(self.bundle, hints)}
 
     def audit(self, auditor):
         """Full-state audit now: frames always, trees when present."""

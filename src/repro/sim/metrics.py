@@ -37,6 +37,13 @@ class KSMTimingStats:
     def total_cycles(self):
         return self.compare_cycles + self.hash_cycles + self.other_cycles
 
+    def charge(self, compare, hashing, other):
+        """Add one software scan interval's cycles."""
+        self.compare_cycles += compare
+        self.hash_cycles += hashing
+        self.other_cycles += other
+        self.intervals += 1
+
     def shares(self):
         total = self.total_cycles
         if total <= 0:

@@ -7,21 +7,22 @@ Section 7.2 related designs (uksm / esx) are *merge backends*, resolved
 through :mod:`repro.sim.backends` — the system itself never branches on
 a mode string.
 
-**Component architecture.**  ``ServerSystem`` is the composition root
-over four focused components wired over the shared
-:class:`~repro.sim.engine.EventQueue`:
-
-* :class:`~repro.sim.memmodel.MemoryModel` — the interference model
-  (DRAM latency, bandwidth contention, L3 pollution) and the
-  memory-side clock;
-* :class:`~repro.sim.load.LoadGenerator` — query arrival -> enqueue ->
-  service -> complete lifecycle and the per-core FIFOs that queries and
-  kernel chunks share;
-* a :class:`~repro.sim.backends.base.MergeBackend` — the merging
-  machinery for the configured mode, driving itself through
-  :meth:`ServerSystem.schedule_kernel_chunk`;
-* :class:`~repro.sim.metrics.MetricsRegistry` — every component's
-  counters behind one flat export path.
+**Component architecture.**  ``ServerSystem`` is the timing around one
+:class:`~repro.sim.host.FunctionalHost` (stream ``{app}/content``, churn
+on, the system's snoop bus), which holds the guests and the merge stack
+and does the fault arming, auditor wiring and hints.  The system adds
+the caches, controllers, DRAM and cores (the home controller and the
+:class:`~repro.sim.backends.cachecost.CacheCostSink` go to the host's
+merge stack) and four components over the shared
+:class:`~repro.sim.engine.EventQueue`: the
+:class:`~repro.sim.memmodel.MemoryModel` (DRAM latency, bandwidth
+contention, L3 pollution, the memory-side clock); the
+:class:`~repro.sim.load.LoadGenerator` (query lifecycle and the per-core
+FIFOs that queries and kernel chunks share); the mode's
+:class:`~repro.sim.backends.base.MergeBackend`, the timed face over the
+host's stack, driving itself through
+:meth:`ServerSystem.schedule_kernel_chunk`; and the
+:class:`~repro.sim.metrics.MetricsRegistry`.
 
 **What is simulated vs. modelled.**  The merging machinery is simulated
 at line granularity: the KSM daemon really walks content trees, hashes
@@ -57,16 +58,15 @@ from repro.cache import CoreCacheHierarchy, SetAssocCache, SnoopBus
 from repro.common.config import MachineConfig
 from repro.common.rng import DeterministicRNG
 from repro.cpu import Core, KernelTaskScheduler
-from repro.mem import MemoryController, PhysicalMemory
+from repro.mem import MemoryController
+from repro.mem.controller import home_controller_for
 from repro.mem.dram import DRAMModel
-from repro.scenarios import get_scenario
-from repro.sim.backends import get_backend, offer_hints
+from repro.sim.backends import CacheCostSink, get_backend
 from repro.sim.engine import EventQueue
-from repro.sim.host import host_capacity_bytes
+from repro.sim.host import FunctionalHost
 from repro.sim.load import LoadGenerator
 from repro.sim.memmodel import MemoryModel
 from repro.sim.metrics import KSMTimingStats, MetricsRegistry
-from repro.virt import Hypervisor
 
 __all__ = [
     "MODES",
@@ -90,7 +90,6 @@ class SimulationScale:
     duration_s: float = 1.5
     warmup_s: float = 1.0
     contention_beta: float = 3.0
-    churn_pages_per_tick: float = 0.5
     #: L3 displacement -> extra app miss-rate coupling (dimensionless).
     pollution_sensitivity: float = 0.55
     #: L3 refill time constant: how fast the app re-warms after a scan.
@@ -118,33 +117,18 @@ class ServerSystem:
     """One full-machine experiment (Section 5.3 configurations)."""
 
     def __init__(self, app, mode="baseline", machine=None, scale=None,
-                 seed=2017, fault_plan=None, resilience=None,
-                 auditor=None, scenario="steady_state"):
+                 seed=2017, fault_plan=None, auditor=None,
+                 scenario="steady_state"):
         backend_cls = get_backend(mode)  # ValueError lists the registry
-        # The workload scenario shapes images, churn, arrivals, and
-        # merge hints; ``steady_state`` reproduces the pre-registry
-        # behaviour bit for bit (the goldens pin it).
-        self.scenario = get_scenario(scenario)()
         self.app = app
         self.mode = mode
         self.machine = machine or MachineConfig()
         self.scale = scale or SimulationScale()
         self.freq = self.machine.processor.frequency_hz
-        # Optional chaos: a FaultPlan arms the PageForge home controller
-        # and engine with a FaultInjector, and a DegradationGovernor
-        # decides per wake whether the merge interval runs on the
-        # hardware or falls back to software KSM.  The other modes are
-        # unaffected (software KSM does not read through the faulty
-        # controller — that immunity is what the fallback buys).
-        self.fault_plan = fault_plan
-        self.resilience = resilience
-        self.fault_injector = None
-        self.pf_governor = None
 
-        # RNG streams: content and load are mode-independent so all
-        # configurations see identical workloads.
+        # RNG streams: content (the host's) and load are mode-independent
+        # so all configurations see identical workloads.
         base = DeterministicRNG(seed, app.name)
-        self._rng_content = base.derive("content")
         self._rng_query = base.derive("query")
         self._rng_arrivals = [
             base.derive(f"arrivals/{i}") for i in range(self.scale.n_vms)
@@ -152,17 +136,17 @@ class ServerSystem:
         self._rng_mode = base.derive(f"mode/{mode}")
 
         self._build_machine()
-        self._build_images()
+        self._build_host(seed, scenario)
         self._build_load()
-        self._build_merging(backend_cls)
+        self._build_merging(backend_cls, fault_plan)
         # Optional runtime verification: an InvariantAuditor re-checks
         # merge/CoW/tree/Scan-Table invariants as the system runs.
         self.auditor = auditor
         if auditor is not None:
-            auditor.attach_system(self)
+            self.host.attach_auditor(auditor)
         # Hints go in *after* the auditor attaches, so hinted merges run
         # under the same frame-accounting checks as scanned ones.
-        self._apply_scenario_hints()
+        self.hint_stats = self.host.offer_hints()
         self._calibrate()
         self._build_metrics()
 
@@ -170,9 +154,6 @@ class ServerSystem:
 
     def _build_machine(self):
         proc = self.machine.processor
-        self.memory = PhysicalMemory(host_capacity_bytes(
-            self.scale.pages_per_vm, self.scale.n_vms
-        ))
         self.dram = DRAMModel(self.machine.dram, cpu_frequency_hz=self.freq)
         self.memmodel = MemoryModel(
             self.machine, self.scale, self.app, self.dram, self.freq
@@ -180,11 +161,6 @@ class ServerSystem:
         self.bus = SnoopBus(page_invalidation_scope="shared-only")
         self.l3 = SetAssocCache(proc.l3)
         self.bus.register_shared(self.l3)
-        self.controllers = [
-            MemoryController(i, self.memory, dram=self.dram,
-                             verify_ecc=False)
-            for i in range(self.machine.n_memory_controllers)
-        ]
         self.cores = [Core(i, self.freq) for i in range(proc.n_cores)]
         self.hierarchies = [
             CoreCacheHierarchy(
@@ -193,21 +169,28 @@ class ServerSystem:
             )
             for i in range(proc.n_cores)
         ]
-        self.hypervisor = Hypervisor(physical_memory=self.memory,
-                                     bus=self.bus)
         self.ksm_core = 0
         self.events = None  # attached in run()
 
-    def _build_images(self):
-        self.images = self.scenario.build_images(
-            self.hypervisor, self.app, self.scale.n_vms,
-            self.scale.pages_per_vm, self._rng_content,
+    def _build_host(self, seed, scenario):
+        # The workload scenario shapes images, churn, arrivals, and
+        # merge hints; ``steady_state`` reproduces the pre-registry
+        # behaviour bit for bit (the goldens pin it).
+        scale = self.scale
+        self.host = FunctionalHost(
+            f"{self.app.name}/content", backend=None, app=self.app,
+            n_vms=scale.n_vms, pages_per_vm=scale.pages_per_vm, seed=seed,
+            churn=True, scenario=scenario, bus=self.bus,
         )
-        self.vms = self.images.vms
-        self.churner = self.scenario.make_churner(
-            self.hypervisor, self.images,
-            self._rng_content.derive("churn"), self.scale,
-        )
+        self.scenario = self.host.scenario
+        self.hypervisor = self.host.hypervisor
+        self.vms = self.host.images.vms
+        self.churner = self.host.churner
+        self.controllers = [
+            MemoryController(i, self.hypervisor.memory, dram=self.dram,
+                             verify_ecc=False)
+            for i in range(self.machine.n_memory_controllers)
+        ]
 
     def _build_load(self):
         self.load = LoadGenerator(
@@ -215,23 +198,29 @@ class ServerSystem:
             scenario=self.scenario,
         )
 
-    def _apply_scenario_hints(self):
-        hints = tuple(self.scenario.merge_hints(self.images))
-        self.hint_stats = {
-            "offered": len(hints), **offer_hints(self.backend.bundle, hints),
-        }
-
-    def _build_merging(self, backend_cls):
-        # Legacy component attributes: the backend that builds one fills
-        # it in; the rest stay None so callers can probe by attribute.
-        self.ksm = None
-        self.pf_driver = None
+    def _build_merging(self, backend_cls, fault_plan):
         self.ksm_timing = KSMTimingStats()
         self.scheduler = KernelTaskScheduler(
             self.machine.processor.n_cores, self._rng_mode.derive("sched")
         )
+        self.cost_sink = CacheCostSink(self)
+        # A fault plan arms PageForge's controller and engine, and its
+        # degradation governor decides per wake whether the interval
+        # runs on the hardware or falls back to software KSM; software
+        # modes read memory through the CPU, immune to the line faults.
+        # Armed or not, the timed engine keeps ``line_sampling=8``.
+        bundle = self.host.build_merge_stack(
+            self.mode, self.machine, fault_plan,
+            controller=home_controller_for(
+                self.controllers, self.machine.pageforge
+            ),
+            cost_sink=self.cost_sink,
+        )
+        # Legacy attributes: tools reach the KSM daemon as ``ksm`` and
+        # the PageForge driver as ``pf_driver``.
+        self.pf_driver = getattr(bundle, "driver", None)
+        self.ksm = getattr(bundle, "daemon", None) if self.pf_driver is None else None
         self.backend = backend_cls(self)
-        self.backend.build()
 
     def _build_metrics(self):
         registry = MetricsRegistry()

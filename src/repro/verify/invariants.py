@@ -481,7 +481,3 @@ class InvariantAuditor:
         if bundle is not None and bundle.driver is not None:
             self.attach_engine(bundle.driver.engine)
         return self
-
-    def attach_system(self, system):
-        """Wire into a :class:`~repro.sim.system.ServerSystem`."""
-        return self.attach_bundle(system.backend.bundle, system.hypervisor)

@@ -8,23 +8,22 @@ the same ServerSystem / runner / export path the paper's three use.
 
 import pytest
 
-from repro.common.config import KSMConfig, TAILBENCH_APPS
+from repro.common.config import KSMConfig, MachineConfig, TAILBENCH_APPS
 from repro.faults import DegradationGovernor, FaultPlan
 from repro.ksm import KSMDaemon
 from repro.ksm.esx import ESXStyleMerger
 from repro.ksm.uksm import UKSMDaemon
 from repro.recovery.runner import RunSpec, run_to_completion
-from repro.scenarios import ScenarioSpec
+from repro.scenarios import ScenarioSpec, available_scenarios
 from repro.sim import ServerSystem, SimulationScale
 from repro.sim.backends import (
     MergeBackend,
     available_backends,
     get_backend,
-    offer_hints,
     recoverable_backends,
     register_backend,
 )
-from repro.sim.host import FunctionalHost
+from repro.sim.host import FunctionalHost, frame_digest_counts
 from repro.sim.runner import run_latency_experiment, run_memory_savings
 from repro.verify.invariants import InvariantAuditor
 
@@ -190,22 +189,24 @@ class TestRunnerIntegration:
 
 class TestFunctionalFaces:
     def test_build_functional_types(self, hypervisor):
-        config = KSMConfig(pages_to_scan=100)
-        ksm = get_backend("ksm").build_functional(hypervisor, config)
+        machine = MachineConfig(ksm=KSMConfig(pages_to_scan=100))
+        ksm = get_backend("ksm").build_bundle(hypervisor, machine)
         assert isinstance(ksm.merger, KSMDaemon)
-        uksm = get_backend("uksm").build_functional(hypervisor, config)
+        uksm = get_backend("uksm").build_bundle(hypervisor, machine)
         assert isinstance(uksm.merger, UKSMDaemon)
-        esx = get_backend("esx").build_functional(hypervisor, config)
+        esx = get_backend("esx").build_bundle(hypervisor, machine)
         assert isinstance(esx.merger, ESXStyleMerger)
-        pf = get_backend("pageforge").build_functional(hypervisor, config)
+        pf = get_backend("pageforge").build_bundle(hypervisor, machine)
         assert pf.driver is pf.merger
         assert pf.driver.engine.controller is not None
 
     def test_baseline_has_no_functional_stack(self, hypervisor):
+        assert get_backend("baseline").build_bundle(
+            hypervisor, MachineConfig()
+        ) is None
         with pytest.raises(ValueError):
-            get_backend("baseline").build_functional(
-                hypervisor, KSMConfig()
-            )
+            FunctionalHost("test/baseline", backend="baseline", n_vms=1,
+                           pages_per_vm=8)
 
     def test_esx_capture_restore_roundtrip(self, rng):
         from repro.common.units import PAGE_BYTES
@@ -286,13 +287,14 @@ def _arming(bundle, injector, governor):
 
 
 class TestBundleSurface:
-    """The timed system and the untimed host wire one merge stack alike:
-    auditor, fault arming, and hint accounting all go through the
-    backend's MergerBundle."""
+    """The timed system owns a host built as a standalone one is: same
+    guests, churn, auditor, fault arming, and hint accounting, all
+    through the backend's MergerBundle."""
 
+    @pytest.mark.parametrize("scenario", available_scenarios())
     @pytest.mark.parametrize("mode", available_backends())
-    def test_timed_and_functional_faces_wire_alike(self, mode):
-        spec = ScenarioSpec("serverless", "moses", n_vms=2, pages_per_vm=40,
+    def test_timed_and_functional_faces_wire_alike(self, mode, scenario):
+        spec = ScenarioSpec(scenario, "moses", n_vms=2, pages_per_vm=40,
                             seed=9)
         plan = FaultPlan(seed=1)
         timed_auditor = InvariantAuditor()
@@ -302,15 +304,19 @@ class TestBundleSurface:
                                   n_vms=spec.n_vms),
             auditor=timed_auditor, fault_plan=plan,
         )
-        host = FunctionalHost(
-            spec.content_rng().name,
-            backend=None if mode == "baseline" else mode, app=spec.app,
-            n_vms=spec.n_vms, pages_per_vm=spec.pages_per_vm,
-            seed=spec.seed, scenario=spec.scenario, fault_plan=plan,
-        )
+        host = spec.host(None if mode == "baseline" else mode,
+                         fault_plan=plan, churn=True)
         host_auditor = host.attach_auditor(InvariantAuditor())
         bundle = system.backend.bundle
         assert (bundle is None) == (host.bundle is None)
+
+        # One guest world: frames, VM names, churn population and rate.
+        assert frame_digest_counts(system.hypervisor) == host.digests()
+        assert [vm.name for vm in system.vms] == [
+            vm.name for vm in host.images.vms
+        ]
+        assert system.churner.churn_pages == host.churner.churn_pages
+        assert system.churner.fraction_per_tick == host.churn_fraction
 
         wiring = _wiring(system.hypervisor, bundle, timed_auditor)
         assert wiring == _wiring(host.hypervisor, host.bundle, host_auditor)
@@ -318,7 +324,8 @@ class TestBundleSurface:
             1, mode in ("ksm", "uksm", "pageforge"), mode == "pageforge",
         )
 
-        arming = _arming(bundle, system.fault_injector, system.pf_governor)
+        timed = system.host
+        arming = _arming(bundle, timed.injector, timed.governor)
         assert arming == _arming(host.bundle, host.injector, host.governor)
         if mode == "pageforge":
             assert arming == (True, True, DegradationGovernor)
@@ -326,14 +333,22 @@ class TestBundleSurface:
             assert arming == (False, False, None)
 
         hints = tuple(spec.model().merge_hints(host.images))
-        offered = offer_hints(host.bundle, hints)
-        assert system.hint_stats == {"offered": len(hints), **offered}
+        offered = host.offer_hints()
+        assert system.hint_stats == offered
+        assert offered["offered"] == len(hints)
         if bundle is None:
-            assert offered == {"accepted": 0, "ignored": len(hints)}
+            assert offered == {"offered": len(hints), "accepted": 0,
+                               "ignored": len(hints)}
         else:
-            assert offered["accepted"] > 0
+            assert (offered["accepted"] > 0) == bool(hints)
             assert bundle.scanner.hints_accepted == offered["accepted"]
             assert host.bundle.scanner.hints_accepted == offered["accepted"]
+
+        # The same churn stream: frames still agree after three ticks.
+        for _ in range(3):
+            system.churner.tick()
+            host.churner.tick()
+        assert frame_digest_counts(system.hypervisor) == host.digests()
 
 
 class TestRecovery:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.config import KSMConfig, TAILBENCH_APPS
-from repro.common.rng import DeterministicRNG
 from repro.fleet import FleetSpec
 from repro.fleet.shard import frame_digest_counts, run_shard, shard_tasks
 from repro.ksm import KSMDaemon
@@ -71,12 +70,11 @@ class TestScenarioSpec:
             ScenarioSpec(pages_per_vm=0)
 
     def test_build_images_produces_vms(self):
-        hyp = _fresh_hypervisor()
         spec = ScenarioSpec(scenario="serverless", n_vms=3,
                             pages_per_vm=60)
-        images = spec.build_images(hyp)
-        assert len(images.vms) == 3
-        assert hyp.guest_pages() == 3 * 60
+        host = spec.host()
+        assert len(host.images.vms) == 3
+        assert host.hypervisor.guest_pages() == 3 * 60
 
 
 class TestSteadyStateEquivalence:
@@ -87,8 +85,7 @@ class TestSteadyStateEquivalence:
         spec = ScenarioSpec(scenario="steady_state", n_vms=4,
                             pages_per_vm=80)
 
-        hyp_new = _fresh_hypervisor()
-        spec.build_images(hyp_new)
+        hyp_new = spec.host().hypervisor
 
         hyp_old = _fresh_hypervisor()
         profile = MemoryImageProfile.for_app(app, 80)
@@ -102,9 +99,8 @@ class TestSteadyStateEquivalence:
         assert model.arrival_qps(app) == app.qps
 
     def test_no_hints(self):
-        hyp = _fresh_hypervisor()
         spec = ScenarioSpec(scenario="steady_state")
-        images = spec.build_images(hyp)
+        images = spec.host().images
         assert tuple(spec.model().merge_hints(images)) == ()
 
 
@@ -122,10 +118,9 @@ class TestScenarioShapes:
         assert churny.counts()[1] > base.counts()[1]
 
     def test_serverless_hints_cover_fast_categories(self):
-        hyp = _fresh_hypervisor()
         spec = ScenarioSpec(scenario="serverless", n_vms=2,
                             pages_per_vm=60)
-        images = spec.build_images(hyp)
+        images = spec.host().images
         hints = tuple(spec.model().merge_hints(images))
         assert hints
         expected = set()
@@ -140,9 +135,8 @@ class TestSeedDeterminism:
     """Any registered scenario replays bit-identically from its seed."""
 
     def _fingerprint(self, spec):
-        hyp = _fresh_hypervisor()
-        images = spec.build_images(hyp)
-        hints = tuple(spec.model().merge_hints(images))
+        host = spec.host()
+        hints = tuple(spec.model().merge_hints(host.images))
         app = spec.app_config
         arrivals = tuple(
             ArrivalProcess(
@@ -150,7 +144,7 @@ class TestSeedDeterminism:
                 spec.content_rng().derive("arrivals"),
             ).arrivals_until(0.5)
         )
-        return frame_digest_counts(hyp), hints, arrivals
+        return frame_digest_counts(host.hypervisor), hints, arrivals
 
     @pytest.mark.parametrize("scenario", available_scenarios())
     def test_replay_is_bit_identical(self, scenario):
@@ -179,12 +173,11 @@ class TestSeedDeterminism:
 
 class TestHintEnqueue:
     def _hinted_world(self):
-        hyp = _fresh_hypervisor()
         spec = ScenarioSpec(scenario="serverless", n_vms=2,
                             pages_per_vm=60)
-        images = spec.build_images(hyp)
-        hints = tuple(spec.model().merge_hints(images))
-        return hyp, images, hints
+        host = spec.host()
+        hints = tuple(spec.model().merge_hints(host.images))
+        return host.hypervisor, host.images, hints
 
     def test_bogus_hints_rejected(self):
         hyp, _images, _hints = self._hinted_world()

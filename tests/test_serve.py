@@ -297,7 +297,7 @@ class TestOverloadVerdictDeadlineGate:
 
     @staticmethod
     def _verdict(monkeypatch, late_service_s):
-        def synthetic_run(spec, base_url):
+        def synthetic_run(spec, base_url, **slicing):
             records = [
                 {"status": 200, "latency_s": 0.01, "service_s": 0.01}
                 for _ in range(399)
