@@ -24,7 +24,7 @@ from repro.bench.harness import (
     measure_pair_ns,
 )
 from repro.bench.scalar import ScalarKSMDaemon
-from repro.cache import SetAssocCache, SnoopBus
+from repro.cache import CoreCacheHierarchy, SetAssocCache, SnoopBus
 from repro.common.config import KSMConfig, ProcessorConfig
 from repro.common.units import PAGE_BYTES
 from repro.core import ArbitrarySetStrategy, PageForgeAPI, PageForgeEngine
@@ -308,6 +308,84 @@ def bench_pageforge_stream(quick):
         Metric("pageforge_stream.per_line_ns_per_compare", per_line_ns,
                "ns/cmp", higher_is_better=False),
         Metric("pageforge_stream.speedup_vs_scalar", per_line_ns / batched_ns,
+               "x", gate=True),
+    ]
+
+
+# KSM cost-sink stream --------------------------------------------------------
+
+
+class _MemoryClock:
+    """The sink's memory clock: one float advanced per streamed line."""
+
+    def __init__(self):
+        self.now_s = 0.0
+
+    def advance(self, cycles):
+        self.now_s += cycles / 2e9
+
+
+@suite("ksm_cost_stream")
+def bench_ksm_cost_stream(quick):
+    """KSM cost sink: one fused ``stream_pages`` call per batch vs ``access``.
+
+    Two Table 2 core hierarchies, each with its own L3, read the same page
+    batches (a walk path and its candidate, six pages of a 512-page pool,
+    every 16th line of 64).  One makes one ``stream_pages`` call per
+    batch; the other, the scalar reference, one ``access`` per line with
+    the same per-line clock advance and per-page callback.  Both do
+    bit-identical simulated work, so the gated ratio isolates the
+    kernel.
+    """
+    n_batches = 96 if quick else 384
+    rng = np.random.default_rng(2017)
+    batches = [[int(p) for p in rng.integers(0, 512, size=6)]
+               for _ in range(n_batches)]
+    lines = (0, 16, 32, 48)
+    min_time = 0.2 if quick else 0.4
+
+    def streamer(fused):
+        proc = ProcessorConfig()
+        bus = SnoopBus()
+        l3 = SetAssocCache(proc.l3)
+        bus.register_shared(l3)
+        hierarchy = CoreCacheHierarchy(0, proc, l3, bus)
+        clock = _MemoryClock()
+
+        def on_page(latency, misses):
+            pass
+
+        if fused:
+            def run():
+                for batch in batches:
+                    hierarchy.stream_pages(batch, lines, "ksm",
+                                           clock.advance, on_page)
+        else:
+            access, advance = hierarchy.access, clock.advance
+
+            def run():
+                for batch in batches:
+                    for ppn in batch:
+                        latency = misses = 0
+                        for line in lines:
+                            result = access(ppn * 64 + line, source="ksm")
+                            latency += result.latency_cycles
+                            misses += result.level == "MEM"
+                            advance(result.latency_cycles)
+                        on_page(latency, misses)
+        return run
+
+    n_lines = n_batches * 6 * len(lines)
+    fused_ns, per_line_ns = measure_pair_ns(
+        streamer(True), streamer(False),
+        ops_per_call=(n_lines, n_lines), min_time_s=min_time,
+    )
+    return [
+        Metric("ksm_cost_stream.ns_per_line", fused_ns, "ns/line",
+               higher_is_better=False),
+        Metric("ksm_cost_stream.per_line_ns_per_line", per_line_ns,
+               "ns/line", higher_is_better=False),
+        Metric("ksm_cost_stream.speedup_vs_scalar", per_line_ns / fused_ns,
                "x", gate=True),
     ]
 

@@ -4,15 +4,18 @@
 the real cache hierarchy of whichever core currently hosts the ksmd
 thread, so the stall cycles and L3 displacement of scanning are
 *measured* rather than assumed — the pollution mechanism of Section
-3.1.  :func:`floored_scan_stalls` is the bulk estimate for software
-scans with no sink wired (ESX-style merging, PageForge's degraded
-intervals), and :func:`software_scan_cycles` is the CPU side every
-software scan interval shares.
+3.1.  Each daemon hook is one
+:meth:`~repro.cache.hierarchy.CoreCacheHierarchy.stream_pages` call over
+all of the hook's pages; per-line ``access`` calls stay the scalar
+reference it is tested against.  :func:`floored_scan_stalls` is the
+bulk estimate for software scans with no sink wired (ESX-style merging,
+PageForge's degraded intervals), and :func:`software_scan_cycles` is
+the CPU side every software scan interval shares.
 """
 
 import math
 
-from repro.ksm.daemon import StaleNodeError
+from repro.ksm.daemon import node_ppn_resolver
 
 #: Per-candidate bookkeeping cycles of the KSM daemon: rmap lookup,
 #: page-table walks, tree maintenance, locking — the ~33% "other" share
@@ -73,7 +76,7 @@ class CacheCostSink:
 
     def __init__(self, system):
         self.system = system
-        self.category = "other"
+        self._resolve_ppn = node_ppn_resolver(system.hypervisor)
         self.reset()
 
     def reset(self):
@@ -81,89 +84,65 @@ class CacheCostSink:
         self.stalls_by_category = {"compare": 0.0, "hash": 0.0}
         self.lines_streamed = 0
 
-    def _stream(self, ppn, n_lines, start_line=0):
+    def _stream(self, ppns, n_lines, category):
+        """Stream the sampled lines of each page in ``ppns``, in order."""
         system = self.system
-        hierarchy = system.hierarchies[system.ksm_core]
-        sample = self.SAMPLE
-        base = ppn * 64
-        sampled = 0
-        sampled_misses = 0
-        sampled_stall = 0
-        for i in range(0, n_lines, sample):
-            addr = base + ((start_line + i) % 64)
-            result = hierarchy.access(addr, is_write=False, source="ksm")
-            sampled += 1
-            sampled_stall += result.latency_cycles
-            if result.level == "MEM":
-                sampled_misses += 1
-            system.advance_mem_clock(result.latency_cycles)
-        if sampled == 0:
-            return
-        # Extrapolate the unsampled lines from the sampled hit/miss mix,
-        # flooring the miss fraction at the full-scale value (the paper's
-        # scanned set vastly exceeds the L3; a scaled-down image's tree
-        # pages would otherwise stay resident and flatter the daemon).
-        measured_miss = sampled_misses / sampled
-        floor = system.scale.scan_miss_floor
-        miss_frac = max(measured_miss, floor)
-        stall = sampled_stall * n_lines / sampled
-        if measured_miss < floor:
-            extra_misses = (floor - measured_miss) * n_lines
-            miss_cost = (
-                system.scale.core_memory_overhead_cycles
-                + system.scale.dram_latency_cycles
-            )
-            stall += extra_misses * miss_cost
-        self.stall_cycles += stall
-        self.stalls_by_category[self.category] = (
-            self.stalls_by_category.get(self.category, 0.0) + stall
-        )
+        scale = system.scale
+        memmodel = system.memmodel
+        dram = system.dram
+        # No hook touches more than a page, so the offsets stay in it.
+        lines = range(0, n_lines, self.SAMPLE)
+        sampled = len(lines)
         unsampled = n_lines - sampled
-        if unsampled > 0:
-            dram_bytes = int(unsampled * 64 * miss_frac)
-            if dram_bytes:
-                system.dram.stats.bytes_by_source["ksm"] += dram_bytes
-                system.dram.bandwidth.record(
-                    system._mem_now, dram_bytes, "ksm"
-                )
-        self.lines_streamed += n_lines
+        floor = scale.scan_miss_floor
+        miss_cost = (
+            scale.core_memory_overhead_cycles + scale.dram_latency_cycles
+        )
+        stalls = self.stalls_by_category
 
-    def _node_ppn(self, node):
-        payload = node.payload
-        hyp = self.system.hypervisor
-        try:
-            if payload[0] == "stable":
-                if hyp.memory.is_allocated(payload[1]):
-                    return payload[1]
-                return None
-            _tag, vm_id, gpn = payload
-            vm = hyp.vms.get(vm_id)
-            if vm is not None and vm.is_mapped(gpn):
-                return vm.mapping(gpn).ppn
-        except (KeyError, StaleNodeError):
-            pass
-        return None
+        def on_page(sampled_stall, sampled_misses):
+            # Extrapolate the unsampled lines from the sampled hit/miss
+            # mix, flooring the miss fraction at the full-scale value
+            # (the paper's scanned set vastly exceeds the L3; a
+            # scaled-down image's tree pages would otherwise stay
+            # resident and flatter the daemon).
+            measured_miss = sampled_misses / sampled
+            stall = sampled_stall * n_lines / sampled
+            if measured_miss < floor:
+                stall += (floor - measured_miss) * n_lines * miss_cost
+            self.stall_cycles += stall
+            stalls[category] = stalls.get(category, 0.0) + stall
+            if unsampled > 0:
+                dram_bytes = int(
+                    unsampled * 64 * max(measured_miss, floor)
+                )
+                if dram_bytes:
+                    dram.stats.bytes_by_source["ksm"] += dram_bytes
+                    dram.bandwidth.record(memmodel.now_s, dram_bytes, "ksm")
+
+        system.hierarchies[system.ksm_core].stream_pages(
+            ppns, lines, "ksm", memmodel.advance, on_page
+        )
+        self.lines_streamed += n_lines * len(ppns)
 
     def on_walk(self, candidate_ppn, outcome):
-        self.category = "compare"
-        if not outcome.path:
+        path = outcome.path
+        if not path:
             return
-        per_node_bytes = outcome.bytes_compared / len(outcome.path)
+        per_node_bytes = outcome.bytes_compared / len(path)
         n_lines = max(1, math.ceil(per_node_bytes / 64))
-        for node in outcome.path:
-            node_ppn = self._node_ppn(node)
-            if node_ppn is not None:
-                self._stream(node_ppn, n_lines)
-        # The candidate's lines are re-read per node comparison but stay
-        # L1-resident after the first pass; stream them once.
-        self._stream(candidate_ppn, n_lines)
+        resolve = self._resolve_ppn
+        # The walk appended each node after its key resolved, so none
+        # is stale here.  The candidate's lines are re-read per node
+        # comparison but stay L1-resident after the first pass; stream
+        # them once, last.
+        ppns = [resolve(node) for node in path]
+        ppns.append(candidate_ppn)
+        self._stream(ppns, n_lines, "compare")
 
     def on_hash_bytes(self, ppn, n_bytes):
-        self.category = "hash"
-        self._stream(ppn, max(1, math.ceil(n_bytes / 64)))
+        self._stream((ppn,), max(1, math.ceil(n_bytes / 64)), "hash")
 
     def on_merge_verify(self, ppn_a, ppn_b, n_bytes):
-        self.category = "compare"
-        n_lines = max(1, math.ceil(n_bytes / 64))
-        self._stream(ppn_a, n_lines)
-        self._stream(ppn_b, n_lines)
+        self._stream((ppn_a, ppn_b), max(1, math.ceil(n_bytes / 64)),
+                     "compare")

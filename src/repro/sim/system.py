@@ -294,9 +294,6 @@ class ServerSystem:
     def _mem_now(self, value):
         self.memmodel.now_s = value
 
-    def advance_mem_clock(self, cycles):
-        self.memmodel.advance(cycles)
-
     def add_pollution(self, n_bytes, now):
         """Merge-machinery bytes that displaced L3 contents."""
         self.memmodel.add_pollution(n_bytes, now)

@@ -216,8 +216,34 @@ class TestHierarchy:
         assert h0.l1.peek(0x2000) is None
         assert l3.peek(0x2000) is None
 
-    def test_touch_page_accumulates(self):
-        h0, _h1, _l3, _lat = self._build()
-        total = h0.touch_page(5)
-        assert total > 0
-        assert h0.l1.peek(5 * 64) is not None
+    def test_stream_pages_matches_access_loop(self):
+        """The fused page stream against one ``access`` per line: the
+        same latencies, per-page sums, memory calls, lines and stats."""
+        ppns, lines = [5, 5, 6, 900], range(0, 64, 3)
+        runs = []
+        for fused in (True, False):
+            h0, h1, l3, latencies = self._build()
+            h1.access(6 * 64 + 3)  # core 1 read it first: an L3 hit for core 0
+            steps, pages = [], []
+            if fused:
+                h0.stream_pages(ppns, lines, "ksm", steps.append,
+                                lambda total, misses: pages.append(
+                                    (total, misses)))
+            else:
+                for ppn in ppns:
+                    results = [h0.access(ppn * 64 + line, source="ksm")
+                               for line in lines]
+                    steps.extend(r.latency_cycles for r in results)
+                    pages.append((sum(r.latency_cycles for r in results),
+                                  sum(r.level == "MEM" for r in results)))
+            runs.append((
+                steps, pages, latencies,
+                [[(addr, e.state, e.owner) for addr, e in s.items()]
+                 for c in (h0.l1, h0.l2, l3) for s in c._sets],
+                [vars(c.stats) for c in (h0.l1, h0.l2, l3)],
+                h0.bus.snoop_probes,
+            ))
+        assert runs[0] == runs[1]
+        steps, pages = runs[0][0], runs[0][1]
+        assert sum(total for total, _ in pages) == sum(steps) > 0
+        assert pages[1] == (2 * len(lines), 0)  # the repeat hits L1

@@ -6,6 +6,7 @@ bit-for-bit, so a throughput optimisation can never silently change a
 merge decision, an ECC code, a checksum, or an event dispatch order.
 """
 
+import math
 from collections import Counter, deque
 from functools import partial
 
@@ -13,10 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import SetAssocCache, SnoopBus
+from repro.cache import CoreCacheHierarchy, SetAssocCache, SnoopBus
 from repro.cache.bus import ProbeResult
 from repro.cache.mesi import MESIState
-from repro.common.config import CacheConfig, PageForgeConfig, ProcessorConfig
+from repro.common.config import (
+    CacheConfig,
+    MachineConfig,
+    PageForgeConfig,
+    ProcessorConfig,
+)
 from repro.common.units import PAGE_BYTES
 from repro.core import (
     PageForgeAPI,
@@ -37,13 +43,21 @@ from repro.ecc.hamming import (
     encode_words,
     inject_error,
 )
-from repro.ksm.compare import compare_pages, compare_pages_scalar
+from repro.ksm.compare import (
+    _first_mismatch,
+    compare_pages,
+    compare_pages_scalar,
+)
 from repro.ksm.daemon import KSMDaemon, StaleNodeError, node_ppn_resolver
 from repro.ksm.jhash import jhash2, jhash2_batch, page_checksum
-from repro.ksm.rbtree import ContentRBTree, RBNode
+from repro.ksm.rbtree import ContentRBTree, RBNode, WalkOutcome
 from repro.mem import MemoryController, PhysicalMemory
+from repro.mem.dram import DRAMModel
 from repro.mem.requests import AccessSource
+from repro.sim.backends import CacheCostSink
 from repro.sim.engine import EventQueue
+from repro.sim.memmodel import MemoryModel
+from repro.sim.system import SimulationScale
 from repro.virt import Hypervisor
 
 # Page pairs: a shared prefix of random length, then independent tails —
@@ -74,6 +88,49 @@ def test_compare_pages_matches_scalar(params):
     assert compare_pages(b, a) == compare_pages_scalar(b, a)
     # bytes and ndarray inputs agree (the walk fast path passes bytes).
     assert compare_pages(a.tobytes(), b.tobytes()) == compare_pages(a, b)
+
+
+def _first_mismatch_reference(a, b):
+    """The first differing index, one byte at a time."""
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return i
+    return None
+
+
+def _diverging_pages(position, seed, noisy_tail, size=PAGE_BYTES):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 256, size=size, dtype=np.uint8)
+    b = a.copy()
+    b[position] ^= np.uint8(rng.integers(1, 256))
+    if noisy_tail:
+        b[position + 1:] = rng.integers(0, 256, size=size - position - 1,
+                                        dtype=np.uint8)
+    return a.tobytes(), b.tobytes()
+
+
+# Edges of the first 64-byte probe, of the 128-byte XOR window and of
+# the binary search's halves, and powers of four.
+@pytest.mark.parametrize(
+    "position", [0, 1, 63, 64, 65, 127, 128, 255, 256, 1023, 1024, 2047,
+                 2048, 3584, 4095]
+)
+@pytest.mark.parametrize("noisy_tail", [False, True])
+def test_first_mismatch_at_probe_edges(position, noisy_tail):
+    for seed in range(4):
+        a, b = _diverging_pages(position, seed, noisy_tail)
+        assert _first_mismatch(a, b) == position
+        assert _first_mismatch(b, a) == _first_mismatch_reference(a, b)
+
+
+@given(st.integers(0, PAGE_BYTES - 1), st.integers(0, 2**32 - 1),
+       st.booleans(), st.sampled_from([PAGE_BYTES, 1, 8, 64, 100, 1000]))
+@settings(max_examples=200)
+def test_first_mismatch_matches_byte_loop(position, seed, noisy_tail, size):
+    position %= size
+    a, b = _diverging_pages(position, seed, noisy_tail, size)
+    assert _first_mismatch(a, b) == _first_mismatch_reference(a, b)
+    assert _first_mismatch(a, b) == position
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 600))
@@ -902,3 +959,243 @@ def test_fused_walk_flushes_before_per_line_reads(sampling):
         assert len(state["totals"]) == 2
         runs.append((_stats(engine.stats), bus.snoop_probes, state))
     assert runs[0] == runs[1]
+
+
+# KSM cost sink: one fused stream_pages call per hook against the
+# per-line access loop it replaced.
+
+
+class _PerLineCostSink:
+    """The cost sink as it was before the fused kernel: one
+    ``CoreCacheHierarchy.access`` per sampled line, and a path node
+    resolved to ``None`` (skipped) when its page is gone."""
+
+    SAMPLE = 16
+
+    def __init__(self, system):
+        self.system = system
+        self.category = "other"
+        self.reset()
+
+    def reset(self):
+        self.stall_cycles = 0.0
+        self.stalls_by_category = {"compare": 0.0, "hash": 0.0}
+        self.lines_streamed = 0
+
+    def _stream(self, ppn, n_lines):
+        system = self.system
+        hierarchy = system.hierarchies[system.ksm_core]
+        sample = self.SAMPLE
+        base = ppn * 64
+        sampled = 0
+        sampled_misses = 0
+        sampled_stall = 0
+        for i in range(0, n_lines, sample):
+            addr = base + (i % 64)
+            result = hierarchy.access(addr, is_write=False, source="ksm")
+            sampled += 1
+            sampled_stall += result.latency_cycles
+            if result.level == "MEM":
+                sampled_misses += 1
+            system.advance_mem_clock(result.latency_cycles)
+        if sampled == 0:
+            return
+        measured_miss = sampled_misses / sampled
+        floor = system.scale.scan_miss_floor
+        miss_frac = max(measured_miss, floor)
+        stall = sampled_stall * n_lines / sampled
+        if measured_miss < floor:
+            extra_misses = (floor - measured_miss) * n_lines
+            miss_cost = (
+                system.scale.core_memory_overhead_cycles
+                + system.scale.dram_latency_cycles
+            )
+            stall += extra_misses * miss_cost
+        self.stall_cycles += stall
+        self.stalls_by_category[self.category] = (
+            self.stalls_by_category.get(self.category, 0.0) + stall
+        )
+        unsampled = n_lines - sampled
+        if unsampled > 0:
+            dram_bytes = int(unsampled * 64 * miss_frac)
+            if dram_bytes:
+                system.dram.stats.bytes_by_source["ksm"] += dram_bytes
+                system.dram.bandwidth.record(
+                    system._mem_now, dram_bytes, "ksm"
+                )
+        self.lines_streamed += n_lines
+
+    def _node_ppn(self, node):
+        payload = node.payload
+        hyp = self.system.hypervisor
+        try:
+            if payload[0] == "stable":
+                if hyp.memory.is_allocated(payload[1]):
+                    return payload[1]
+                return None
+            _tag, vm_id, gpn = payload
+            vm = hyp.vms.get(vm_id)
+            if vm is not None and vm.is_mapped(gpn):
+                return vm.mapping(gpn).ppn
+        except (KeyError, StaleNodeError):
+            pass
+        return None
+
+    def on_walk(self, candidate_ppn, outcome):
+        self.category = "compare"
+        if not outcome.path:
+            return
+        per_node_bytes = outcome.bytes_compared / len(outcome.path)
+        n_lines = max(1, math.ceil(per_node_bytes / 64))
+        for node in outcome.path:
+            node_ppn = self._node_ppn(node)
+            if node_ppn is not None:
+                self._stream(node_ppn, n_lines)
+        self._stream(candidate_ppn, n_lines)
+
+    def on_hash_bytes(self, ppn, n_bytes):
+        self.category = "hash"
+        self._stream(ppn, max(1, math.ceil(n_bytes / 64)))
+
+    def on_merge_verify(self, ppn_a, ppn_b, n_bytes):
+        self.category = "compare"
+        n_lines = max(1, math.ceil(n_bytes / 64))
+        self._stream(ppn_a, n_lines)
+        self._stream(ppn_b, n_lines)
+
+
+class _SinkMachine:
+    """What a cost sink reads of ``ServerSystem``, on tiny caches: three
+    cores, a 4-set L3, the timed memory model and a hypervisor whose
+    pages back stable and unstable tree nodes."""
+
+    N_PAGES = 6
+
+    def __init__(self, sink_cls):
+        proc = ProcessorConfig(n_cores=3, l1=_TINY_L1, l2=_TINY_L2,
+                               l3=_TINY_L3)
+        machine = MachineConfig(processor=proc)
+        self.scale = SimulationScale()
+        self.dram = DRAMModel(machine.dram,
+                              cpu_frequency_hz=proc.frequency_hz)
+        self.memmodel = MemoryModel(machine, self.scale, None, self.dram,
+                                    proc.frequency_hz)
+        self.bus = SnoopBus()
+        self.l3 = SetAssocCache(proc.l3)
+        self.bus.register_shared(self.l3)
+        self.hierarchies = [
+            CoreCacheHierarchy(i, proc, self.l3, self.bus,
+                               memory_latency_fn=self.memmodel.core_miss_latency)
+            for i in range(proc.n_cores)
+        ]
+        self.ksm_core = 0
+        self.hypervisor = Hypervisor(capacity_bytes=8 * PAGE_BYTES)
+        vm = self.hypervisor.create_vm("vm0")
+        self.nodes, self.ppns = [], []
+        for gpn in range(self.N_PAGES):
+            ppn = self.hypervisor.touch_page(vm, gpn, mergeable=True).ppn
+            payload = (("stable", ppn) if gpn % 2
+                       else ("unstable", vm.vm_id, gpn))
+            self.nodes.append(RBNode(lambda: b"", payload=payload))
+            self.ppns.append(ppn)
+        self.sink = sink_cls(self)
+
+    @property
+    def _mem_now(self):
+        return self.memmodel.now_s
+
+    def advance_mem_clock(self, cycles):
+        self.memmodel.advance(cycles)
+
+    def apply(self, op):
+        kind, args = op[0], op[1:]
+        sink = self.sink
+        if kind == "walk":
+            path, candidate, n_lines = args
+            sink.on_walk(self.ppns[candidate], WalkOutcome(
+                match=None, parent=None, direction="root",
+                comparisons=len(path),
+                bytes_compared=n_lines * 64 * len(path),
+                path=[self.nodes[i] for i in path],
+            ))
+        elif kind == "hash":
+            page, n_lines = args
+            sink.on_hash_bytes(self.ppns[page], n_lines * 64)
+        elif kind == "verify":
+            page_a, page_b, n_lines = args
+            sink.on_merge_verify(self.ppns[page_a], self.ppns[page_b],
+                                 n_lines * 64 - 5)
+        elif kind == "move":
+            self.ksm_core = args[0]
+        elif kind == "remote":
+            core, page, line, write = args
+            self.hierarchies[core].access(self.ppns[page] * 64 + line,
+                                          is_write=write, source="app")
+        elif kind == "invalid":
+            page, line = args
+            for cache in self._caches():
+                cache.set_state(self.ppns[page] * 64 + line,
+                                MESIState.INVALID)
+        elif kind == "mshr":
+            l2 = self.hierarchies[self.ksm_core].l2
+            for _ in range(args[0]):
+                l2.acquire_mshr()
+        else:
+            self.memmodel.touch(self.memmodel.now_s + args[0])
+
+    def _caches(self):
+        return [c for h in self.hierarchies for c in (h.l1, h.l2)] + [self.l3]
+
+    def state(self):
+        bandwidth = self.dram.bandwidth
+        return (
+            [_cache_state(cache) for cache in self._caches()],
+            [h.l2._outstanding for h in self.hierarchies],
+            dict(self.bus._presence), self.bus.snoop_probes,
+            self.bus.supplied_from_cache,
+            self.memmodel.now_s,
+            _stats(self.dram.stats), list(self.dram._open_rows),
+            {b: dict(v) for b, v in bandwidth._buckets.items()},
+            list(bandwidth._totals.items()),
+            self.sink.stall_cycles, dict(self.sink.stalls_by_category),
+            self.sink.lines_streamed,
+        )
+
+
+_N_LINES = st.sampled_from([1, 15, 16, 17, 64])
+_page = st.integers(0, _SinkMachine.N_PAGES - 1)
+_sink_ops = st.lists(
+    st.one_of(
+        # Paths may repeat a page, and may hold the candidate.
+        st.tuples(st.just("walk"), st.lists(_page, max_size=5), _page,
+                  _N_LINES),
+        st.tuples(st.just("hash"), _page, _N_LINES),
+        st.tuples(st.just("verify"), _page, _page, _N_LINES),
+        st.tuples(st.just("move"), st.integers(0, 2)),
+        # Other cores' reads and writes: lines in private caches to
+        # supply or demote, and MODIFIED lines for the L3 to write back.
+        st.tuples(st.just("remote"), st.integers(0, 2), _page,
+                  st.sampled_from([0, 16, 32, 48, 5]), st.booleans()),
+        # INVALID entries left in the sets: a miss whose fills reuse them.
+        st.tuples(st.just("invalid"), _page, st.sampled_from([0, 16])),
+        st.tuples(st.just("mshr"), st.integers(1, 4)),
+        st.tuples(st.just("tick"), st.sampled_from([1e-4, 0.003, 0.02])),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+@given(_sink_ops)
+@settings(max_examples=150, deadline=None)
+def test_fused_cost_sink_matches_per_line_access(ops):
+    """Each hook's one ``stream_pages`` call leaves caches, stats, the
+    presence index, the bus counters, the memory clock, DRAM and
+    bandwidth accounting and the sink's float sums exactly where the
+    per-line ``access`` loop leaves them, after every call."""
+    fused = _SinkMachine(CacheCostSink)
+    per_line = _SinkMachine(_PerLineCostSink)
+    assert fused.state() == per_line.state()
+    for op in ops:
+        fused.apply(op)
+        per_line.apply(op)
+        assert fused.state() == per_line.state()
