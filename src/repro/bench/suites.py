@@ -25,17 +25,23 @@ from repro.bench.harness import (
 )
 from repro.bench.scalar import ScalarKSMDaemon
 from repro.cache import CoreCacheHierarchy, SetAssocCache, SnoopBus
-from repro.common.config import KSMConfig, ProcessorConfig
+from repro.common.config import KSMConfig, PageForgeConfig, ProcessorConfig
 from repro.common.units import PAGE_BYTES
-from repro.core import ArbitrarySetStrategy, PageForgeAPI, PageForgeEngine
+from repro.core import (
+    ArbitrarySetStrategy,
+    PageForgeAPI,
+    PageForgeEngine,
+    PageForgeTreeStrategy,
+)
 from repro.ecc.hamming import _encode_words_swar, encode_pages
 from repro.ksm import compare as ksm_compare
 from repro.ksm.compare import compare_pages, compare_pages_scalar, pages_identical
-from repro.ksm.daemon import KSMDaemon
+from repro.ksm.daemon import KSMDaemon, node_ppn_resolver
 from repro.ksm.jhash import KSM_CHECKSUM_INITVAL, jhash2, jhash2_batch
-from repro.ksm.rbtree import ContentRBTree, RBNode
+from repro.ksm.rbtree import ContentRBTree, RBNode, WalkOutcome
 from repro.mem import MemoryController, PhysicalMemory
 from repro.sim.engine import EventQueue
+from repro.virt import Hypervisor
 
 #: Suite registry: name -> callable(quick) -> [Metric].  Order matters:
 #: ``repro bench`` runs them in registration order, cheap micro suites
@@ -308,6 +314,119 @@ def bench_pageforge_stream(quick):
         Metric("pageforge_stream.per_line_ns_per_compare", per_line_ns,
                "ns/cmp", higher_is_better=False),
         Metric("pageforge_stream.speedup_vs_scalar", per_line_ns / batched_ns,
+               "x", gate=True),
+    ]
+
+
+# Scan-Table refill -----------------------------------------------------------
+
+
+def _refill_schedule(frames, limit):
+    """The Scan-Table loads and inserts of ``frames`` grown into a tree
+    as KSM's unstable tree grows under PageForge.
+
+    Each page's walk loads the root batch, then the batch rooted where
+    the walk left it, and the page is inserted where the walk stopped.
+    Returns one ``(load starts, parent, direction)`` per page, nodes
+    named by page index (``parent`` None for the first).
+    """
+    tree = ContentRBTree("refill-schedule")
+    nodes = [RBNode(lambda f=f: f.content_bytes) for f in frames]
+    index = {id(node): i for i, node in enumerate(nodes)}
+    schedule = []
+    for node in nodes:
+        outcome = tree.walk(node.key())
+        if outcome.match is not None:
+            raise ValueError("duplicate page in the refill schedule")
+        starts = []
+        if outcome.path:
+            starts.append(index[id(tree.root)])
+            in_root_batch = set(map(id, tree.breadth_first(tree.root,
+                                                            limit)[0]))
+            for step in outcome.path:
+                if id(step) not in in_root_batch:
+                    starts.append(index[id(step)])
+                    break
+        parent = None if outcome.parent is None else index[id(outcome.parent)]
+        schedule.append((starts, parent, outcome.direction))
+        tree.insert_at(outcome, node)
+    return schedule
+
+
+@suite("scan_table_refill")
+def bench_scan_table_refill(quick):
+    """Scan-Table refills: the tree's cached batches vs uncached loads.
+
+    A tree of tail-divergent stable pages grows by the unstable-tree
+    pattern (:func:`_refill_schedule`).  Two trees replay that schedule
+    from empty: one loads through ``PageForgeTreeStrategy._load_batch``,
+    whose batches the tree caches and drops on the inserts and rotations
+    that change them; the other through the uncached reference,
+    ``breadth_first``, the driver's link build, the PPN resolver and
+    ``fill_entries``.  Both write the same tables and do the same
+    inserts, so the gated ratio isolates the batch cache (its
+    invalidation included).
+    """
+    n_pages = 256 if quick else 1024
+    pages = _tail_divergent_pages(n_pages)
+    memory = PhysicalMemory(n_pages * PAGE_BYTES)
+    hypervisor = Hypervisor(physical_memory=memory)
+    frames = []
+    for page in pages:
+        frame = memory.allocate()
+        frame.fill(page)
+        frames.append(frame)
+    limit = PageForgeConfig().other_pages_entries
+    schedule = _refill_schedule(frames, limit)
+    n_loads = sum(len(starts) for starts, _parent, _direction in schedule)
+    min_time = 0.2 if quick else 0.4
+
+    def replayer(cached):
+        nodes = [RBNode(lambda f=frame: f.content_bytes,
+                        payload=("stable", frame.ppn))
+                 for frame in frames]
+        tree = ContentRBTree("bench-refill")
+        controller = MemoryController(0, memory, verify_ecc=False)
+        strategy = PageForgeTreeStrategy(
+            PageForgeAPI(PageForgeEngine(controller)), hypervisor
+        )
+        if cached:
+            load = strategy._load_batch
+        else:
+            links = strategy._batch_links
+            resolve = node_ppn_resolver(hypervisor)
+            fill = strategy.api.fill_entries
+
+            def load(tree, start):
+                batch, less, more = links(*tree.breadth_first(start, limit))
+                fill(list(zip(resolve(batch.nodes), less, more)))
+
+        steps = [
+            ([nodes[i] for i in starts],
+             WalkOutcome(None, None if parent is None else nodes[parent],
+                         direction, 0, 0),
+             node)
+            for (starts, parent, direction), node in zip(schedule, nodes)
+        ]
+
+        def run():
+            tree.reset()
+            for starts, outcome, node in steps:
+                for start in starts:
+                    load(tree, start)
+                tree.insert_at(outcome, node)
+        return run
+
+    cached_ns, uncached_ns = measure_pair_ns(
+        replayer(True), replayer(False),
+        ops_per_call=(n_loads, n_loads), min_time_s=min_time,
+    )
+    return [
+        Metric("scan_table_refill.ns_per_batch", cached_ns, "ns/batch",
+               higher_is_better=False),
+        Metric("scan_table_refill.uncached_ns_per_batch", uncached_ns,
+               "ns/batch", higher_is_better=False),
+        Metric("scan_table_refill.speedup_vs_scalar", uncached_ns / cached_ns,
                "x", gate=True),
     ]
 

@@ -60,7 +60,7 @@ class CoreCacheHierarchy:
                 self.bus.read_exclusive(addr, self.core_id)
             return AccessResult("L2", cfg.l2.round_trip_cycles)
 
-        mshr_stall = not self.l2.acquire_mshr()
+        acquired = self.l2.acquire_mshr()
         try:
             if self.l3.lookup(addr, source=source) is not None:
                 latency = cfg.l3.round_trip_cycles
@@ -89,11 +89,13 @@ class CoreCacheHierarchy:
                         source=source,
                     )
         finally:
-            self.l2.release_mshr()
+            if acquired:
+                self.l2.release_mshr()
 
         if allocate:
             self.l2.insert(addr, fill_state, source=source)
             self.l1.insert(addr, fill_state, source=source)
+        mshr_stall = not acquired
         if mshr_stall:
             latency += cfg.l2.round_trip_cycles  # retry delay under pressure
         return AccessResult(level, latency, mshr_stall=mshr_stall)
@@ -128,8 +130,10 @@ class CoreCacheHierarchy:
         memory_latency = self._memory_latency_fn
         invalid, modified = MESIState.INVALID, MESIState.MODIFIED
         exclusive, shared = MESIState.EXCLUSIVE, MESIState.SHARED
-        mshrs = l2.mshrs
-        outstanding = l2._outstanding
+        # acquire_mshr/release_mshr around each L3 access net out, and a
+        # stalled miss acquires nothing, so the L2's MSHR count holds
+        # for the whole call: misses stall on all of it or on none.
+        stall = l2._outstanding >= l2.mshrs
         hits1 = misses1 = hits2 = misses2 = hits3 = misses3 = 0
         evict1 = evict2 = evict3 = dirty1 = dirty2 = dirty3 = 0
         probes = 0
@@ -157,10 +161,6 @@ class CoreCacheHierarchy:
                         latency = lat2
                     else:
                         misses2 += 1
-                        # acquire_mshr/release_mshr around the L3 access:
-                        # a free MSHR nets out, a full L2 stalls and
-                        # still releases one.
-                        stall = outstanding >= mshrs
                         set3 = sets3[addr % n3]
                         entry3 = set3.get(addr)
                         if entry3 is not None and entry3.state is not invalid:
@@ -207,8 +207,6 @@ class CoreCacheHierarchy:
                                 if pres3 is not None:
                                     pres3[addr] = pres3.get(addr, 0) + 1
                         if stall:
-                            if outstanding > 0:
-                                outstanding -= 1
                             latency += lat2  # retry delay under pressure
                         # l2.insert(addr, EXCLUSIVE)
                         if entry2 is not None:
@@ -264,7 +262,6 @@ class CoreCacheHierarchy:
                     advance(latency)
                 on_page(page_latency, page_misses)
         finally:
-            l2._outstanding = outstanding
             bus.snoop_probes += probes
             # The per-source maps get a key only for a nonzero count,
             # as per-line updates would give them.

@@ -68,30 +68,26 @@ class PageForgeTreeStrategy:
         self.cycles_consumed = 0  # engine cycles since last drain
         self.table_refills = 0
         self._freq = api.engine.controller.dram.cpu_frequency_hz
-        self._resolve_ppn = node_ppn_resolver(hypervisor)
+        self._resolve_ppns = node_ppn_resolver(hypervisor)
+        self._n_entries = api.table.n_entries
         entries = range(api.table.n_entries)
         self._left_misses = [miss_sentinel(i, "left") for i in entries]
         self._right_misses = [miss_sentinel(i, "right") for i in entries]
 
     # Batch construction ----------------------------------------------------------------
 
-    def _load_batch(self, tree, start_node):
-        """Breadth-first load of up to ``n_entries`` nodes (root + four
-        levels of a balanced subtree: 31 entries).
+    def _batch_links(self, nodes, children):
+        """A :class:`_Batch` and its Less/More links, from
+        :meth:`ContentRBTree.breadth_first`'s ``(nodes, children)``.
 
         Every child pointer either names another in-batch index or a miss
         sentinel encoding (entry, direction), so the OS can always decode
-        where the hardware walk stopped.  All PPNs resolve before the
-        table is touched: a stale node raises and leaves it as it was.
+        where the hardware walk stopped.
         """
-        nodes, children = tree.breadth_first(
-            start_node, self.api.table.n_entries
-        )
-        resolve = self._resolve_ppn
-        ppns = [resolve(node) for node in nodes]
         left_misses, right_misses = self._left_misses, self._right_misses
         n_nodes = len(nodes)
-        rows = []
+        less_links = []
+        more_links = []
         is_last = True
         # breadth_first enqueues children in (left, right) order, so the
         # k-th non-None child is the node at position k: in the batch
@@ -99,23 +95,39 @@ class PageForgeTreeStrategy:
         position = 1
         for i, (left, right) in enumerate(children):
             if left is not None and position < n_nodes:
-                less = position
+                less_links.append(position)
                 position += 1
             else:
-                less = left_misses[i]
+                less_links.append(left_misses[i])
                 if left is not None:
                     is_last = False
             if right is not None and position < n_nodes:
-                more = position
+                more_links.append(position)
                 position += 1
             else:
-                more = right_misses[i]
+                more_links.append(right_misses[i])
                 if right is not None:
                     is_last = False
-            rows.append((ppns[i], less, more))
-        self.api.fill_entries(rows)
+        return _Batch(nodes=nodes, is_last=is_last), less_links, more_links
+
+    def _load_batch(self, tree, start_node):
+        """Breadth-first load of up to ``n_entries`` nodes (root + four
+        levels of a balanced subtree: 31 entries).
+
+        The nodes and their links come from the tree's batch cache
+        (:meth:`ContentRBTree.batch`, built by :meth:`_batch_links`),
+        which drops a batch when one of its nodes changes children.  The
+        cache holds shapes, not PPNs: every load resolves all of its
+        nodes, before the table is touched, so a stale node raises and
+        leaves the table as it was.
+        """
+        batch, less_links, more_links = tree.batch(
+            start_node, self._n_entries, self._batch_links
+        )
+        ppns = self._resolve_ppns(batch.nodes)
+        self.api.fill_entries(list(zip(ppns, less_links, more_links)))
         self.table_refills += 1
-        return _Batch(nodes=nodes, is_last=is_last)
+        return batch
 
     def _trigger(self):
         """Run the engine and advance the local clock by its cycles."""

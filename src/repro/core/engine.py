@@ -257,9 +257,11 @@ class PageForgeEngine:
                 else:
                     other = memory.frame(entry.ppn)
                     other_data = other.data
-                    diffs = (candidate_data != other_data).nonzero()[0]
-                    if diffs.size:
-                        first = int(diffs[0])
+                    # argmax stops at the first True: the first
+                    # differing byte, or 0 for equal pages.
+                    neq = candidate_data != other_data
+                    first = int(neq.argmax())
+                    if neq[first]:
                         sign = (-1 if candidate_data[first] < other_data[first]
                                 else 1)
                         n_lines = first // 64 + 1

@@ -126,38 +126,48 @@ _Candidate = namedtuple("_Candidate", ("vm_id", "gpn"))
 
 
 def node_ppn_resolver(hypervisor):
-    """A function mapping a tree node to its page's current PPN.
+    """A function mapping a list of tree nodes to their pages' current
+    PPNs, in order.
 
     It restates the staleness rule of :meth:`KSMDaemon._stable_key_fn`
     and :meth:`KSMDaemon._unstable_key_fn` and raises
-    :class:`StaleNodeError` exactly where ``node.key()`` would: a stable
-    PPN no longer allocated, a destroyed VM, an unmapped GPN, or a
-    mapping turned CoW.  It never builds the page's bytes, so PageForge's
-    Scan-Table loads pay one dict lookup or three per node.
+    :class:`StaleNodeError` at the first node, in order, whose
+    ``node.key()`` would raise: a stable PPN no longer allocated, a
+    destroyed VM, an unmapped GPN, or a mapping turned CoW.  It never
+    builds the pages' bytes, so PageForge's Scan-Table loads and the KSM
+    cost sink's walk paths pay one dict lookup or three per node, in one
+    loop per list.
     """
     vms_get = hypervisor.vms.get
     frames = hypervisor.memory._frames
 
-    def resolve(node):
-        payload = node.payload
-        kind = payload[0]
-        if kind == "stable":
-            ppn = payload[1]
-            if ppn not in frames:
-                raise StaleNodeError(f"stable PPN {ppn} freed")
-            return ppn
-        if kind == "unstable":
-            _kind, vm_id, gpn = payload
-            vm = vms_get(vm_id)
-            if vm is None:
-                raise StaleNodeError(f"VM{vm_id} destroyed")
-            mapping = vm._table.get(gpn)
-            if mapping is None:
-                raise StaleNodeError(f"VM{vm_id} GPN {gpn} unmapped")
-            if mapping.cow:
-                raise StaleNodeError(f"VM{vm_id} GPN {gpn} became stable")
-            return mapping.ppn
-        raise ValueError(f"unknown node payload: {payload!r}")
+    def resolve(nodes):
+        ppns = []
+        append = ppns.append
+        for node in nodes:
+            payload = node.payload
+            kind = payload[0]
+            if kind == "stable":
+                ppn = payload[1]
+                if ppn not in frames:
+                    raise StaleNodeError(f"stable PPN {ppn} freed")
+                append(ppn)
+            elif kind == "unstable":
+                _kind, vm_id, gpn = payload
+                vm = vms_get(vm_id)
+                if vm is None:
+                    raise StaleNodeError(f"VM{vm_id} destroyed")
+                mapping = vm._table.get(gpn)
+                if mapping is None:
+                    raise StaleNodeError(f"VM{vm_id} GPN {gpn} unmapped")
+                if mapping.cow:
+                    raise StaleNodeError(
+                        f"VM{vm_id} GPN {gpn} became stable"
+                    )
+                append(mapping.ppn)
+            else:
+                raise ValueError(f"unknown node payload: {payload!r}")
+        return ppns
 
     return resolve
 

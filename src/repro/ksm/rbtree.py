@@ -88,6 +88,9 @@ class ContentRBTree:
         self._nil.left = self._nil.right = self._nil.parent = self._nil
         self.root = self._nil
         self._size = 0
+        # start node -> (limit, build, links, member set): the cached
+        # Scan-Table batches of :meth:`batch`.
+        self._batches = {}
 
     # Search -----------------------------------------------------------------
 
@@ -195,6 +198,8 @@ class ContentRBTree:
                 outcome.parent.right = node
             else:
                 raise ValueError(f"bad direction: {outcome.direction}")
+            if self._batches:
+                self._drop_batches(outcome.parent, (outcome.parent,))
         self._size += 1
         self._insert_fixup(node)
         return node
@@ -224,6 +229,8 @@ class ContentRBTree:
             x.parent.right = y
         y.left = x
         x.parent = y
+        if self._batches:
+            self._drop_batches(x, (x, y, y.parent))
 
     def _rotate_right(self, x):
         y = x.left
@@ -239,6 +246,8 @@ class ContentRBTree:
             x.parent.left = y
         y.right = x
         x.parent = y
+        if self._batches:
+            self._drop_batches(x, (x, y, y.parent))
 
     def _insert_fixup(self, z):
         while z.parent.color == RED:
@@ -290,6 +299,8 @@ class ContentRBTree:
 
     def remove(self, z):
         """Remove node ``z`` (must belong to this tree)."""
+        if self._batches:
+            self._batches.clear()
         y = z
         y_original_color = y.color
         if z.left is self._nil:
@@ -369,6 +380,7 @@ class ContentRBTree:
         """Drop every node (KSM destroys the unstable tree each pass)."""
         self.root = self._nil
         self._size = 0
+        self._batches.clear()
 
     def __len__(self):
         return self._size
@@ -419,6 +431,48 @@ class ContentRBTree:
                 nodes.append(right)
             children.append((left, right))
         return nodes, children
+
+    def batch(self, start, limit, build):
+        """``build(*self.breadth_first(start, limit))``, cached per start
+        node.
+
+        PageForge's driver turns each breadth-first load into Scan-Table
+        Less/More links; the tree keeps that result until it can change.
+        A batch is a function of its members' child pointers only, so it
+        is dropped exactly when one of its own nodes has ``left`` or
+        ``right`` rewritten (:meth:`_drop_batches`).  Node colours and
+        page contents are not part of it.
+        """
+        cached = self._batches.get(start)
+        if cached is not None and cached[0] == limit and cached[1] == build:
+            return cached[2]
+        nodes, children = self.breadth_first(start, limit)
+        links = build(nodes, children)
+        if nodes:
+            self._batches[start] = (limit, build, links, set(nodes))
+        return links
+
+    def _drop_batches(self, lowest, changed):
+        """Drop the cached batches holding a node of ``changed``, whose
+        child pointers were just rewritten.
+
+        A batch holds only descendants of its start node, so the
+        candidates are the batches started at ``lowest`` (the deepest
+        changed node) and its ancestors; after a rotation that chain
+        still covers every ancestor the changed nodes had before it.
+        """
+        batches = self._batches
+        nil = self._nil
+        node = lowest
+        while node is not nil:
+            cached = batches.get(node)
+            if cached is not None:
+                members = cached[3]
+                for member in changed:
+                    if member in members:
+                        del batches[node]
+                        break
+            node = node.parent
 
     def children(self, node):
         """(left, right) children, with None for NIL."""

@@ -229,6 +229,7 @@ def _decode_tree(tree, daemon, encoded):
 
     tree.root = decode(encoded, nil)
     tree._size = count
+    tree._batches.clear()
     return tree
 
 

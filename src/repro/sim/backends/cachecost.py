@@ -76,7 +76,7 @@ class CacheCostSink:
 
     def __init__(self, system):
         self.system = system
-        self._resolve_ppn = node_ppn_resolver(system.hypervisor)
+        self._resolve_ppns = node_ppn_resolver(system.hypervisor)
         self.reset()
 
     def reset(self):
@@ -131,12 +131,11 @@ class CacheCostSink:
             return
         per_node_bytes = outcome.bytes_compared / len(path)
         n_lines = max(1, math.ceil(per_node_bytes / 64))
-        resolve = self._resolve_ppn
         # The walk appended each node after its key resolved, so none
         # is stale here.  The candidate's lines are re-read per node
         # comparison but stay L1-resident after the first pass; stream
         # them once, last.
-        ppns = [resolve(node) for node in path]
+        ppns = self._resolve_ppns(path)
         ppns.append(candidate_ppn)
         self._stream(ppns, n_lines, "compare")
 

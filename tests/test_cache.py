@@ -247,3 +247,29 @@ class TestHierarchy:
         steps, pages = runs[0][0], runs[0][1]
         assert sum(total for total, _ in pages) == sum(steps) > 0
         assert pages[1] == (2 * len(lines), 0)  # the repeat hits L1
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_stalled_miss_releases_no_mshr(self, fused):
+        """A miss that found every L2 MSHR busy acquired none, so it
+        frees none: the held MSHRs stay held (``access`` and
+        ``stream_pages`` alike)."""
+        h0, _h1, _l3, _lat = self._build()
+        l2 = h0.l2
+        for _ in range(l2.mshrs):
+            assert l2.acquire_mshr()
+        if fused:
+            steps = []
+            h0.stream_pages([0x40], [0], "ksm", steps.append,
+                            lambda total, misses: None)
+            latency = steps[0]
+        else:
+            result = h0.access(0x40 * 64, source="ksm")
+            assert result.mshr_stall
+            latency = result.latency_cycles
+        assert l2._outstanding == l2.mshrs
+        # The stall still costs one L2 round trip of retry delay.
+        assert latency == 20 + 100 + 6
+        # With a free MSHR the miss acquires and releases it.
+        l2.release_mshr()
+        h0.access(0x41 * 64, source="ksm")
+        assert l2._outstanding == l2.mshrs - 1

@@ -229,6 +229,32 @@ class TestMemoryController:
         mc.expire_pending(10.0)
         assert mc.pending_reads == 0
 
+    def _pending(self, memory, completions):
+        mc = MemoryController(0, memory)
+        mc._pending_reads.update(
+            (addr, completion) for addr, completion in enumerate(completions)
+        )
+        return mc
+
+    def test_expire_pending_partly_expired(self, memory):
+        mc = self._pending(memory, [0.5, 2.0, 1.0, 3.0, 1.0])
+        assert mc.expire_pending(1.0) == 3
+        assert mc._pending_reads == {1: 2.0, 3: 3.0}
+        assert mc.stats.expired_reads == 3
+        assert mc.expire_pending(1.5) == 0
+        assert mc.stats.expired_reads == 3
+
+    def test_expire_pending_fully_expired(self, memory):
+        mc = self._pending(memory, [0.5, 2.0, 1.0])
+        # The latest completion equals the time: every entry retires.
+        assert mc.expire_pending(2.0) == 3
+        assert mc.pending_reads == 0
+        assert mc.stats.expired_reads == 3
+        assert mc.expire_pending(5.0) == 0  # an empty buffer
+        mc._pending_reads[7] = 4.0
+        assert mc.flush_pending() == 1
+        assert mc.stats.expired_reads == 4
+
     def test_bytes_transferred(self, memory):
         mc = MemoryController(0, memory)
         frame = memory.allocate()

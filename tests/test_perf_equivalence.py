@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cache import CoreCacheHierarchy, SetAssocCache, SnoopBus
 from repro.cache.bus import ProbeResult
@@ -54,6 +54,7 @@ from repro.ksm.rbtree import ContentRBTree, RBNode, WalkOutcome
 from repro.mem import MemoryController, PhysicalMemory
 from repro.mem.dram import DRAMModel
 from repro.mem.requests import AccessSource
+from repro.recovery.serialize import capture_controller, restore_controller
 from repro.sim.backends import CacheCostSink
 from repro.sim.engine import EventQueue
 from repro.sim.memmodel import MemoryModel
@@ -681,10 +682,10 @@ def test_one_pass_refill_matches_bfs_reference(
             key = node.key()
         except StaleNodeError as exc:
             with pytest.raises(StaleNodeError) as res_exc:
-                resolve(node)
+                resolve([node])
             assert str(res_exc.value) == str(exc)
         else:
-            assert memory.frame(resolve(node)).content_bytes == key
+            assert memory.frame(resolve([node])[0]).content_bytes == key
 
 
 @given(
@@ -714,6 +715,253 @@ def test_fill_entries_matches_clear_and_insert(rows, prior):
     ]
     with pytest.raises(ValueError):
         filled.fill_entries(rows + [(0, -1, -1)] * (8 - len(rows)))
+
+
+# The tree's Scan-Table batch cache against uncached loads.
+
+_CACHE_KEYS = 96
+_CACHE_LIMITS = (1, 3, 7, 31)
+
+
+class _CachedTreeMachine:
+    """A stable tree whose node ``k`` holds a page ordered by ``k``,
+    loaded by one driver strategy per table size (sharing the tree's
+    batch cache) and by the deque-BFS reference."""
+
+    def __init__(self):
+        memory = PhysicalMemory(_CACHE_KEYS * PAGE_BYTES)
+        self.hypervisor = Hypervisor(physical_memory=memory)
+        self.nodes = []
+        for k in range(_CACHE_KEYS):
+            frame = memory.allocate()
+            page = np.zeros(PAGE_BYTES, dtype=np.uint8)
+            page[:2] = (k >> 8, k & 0xFF)
+            frame.fill(page)
+            self.nodes.append(RBNode(lambda f=frame: f.content_bytes,
+                                     payload=("stable", frame.ppn)))
+        self.tree = ContentRBTree("cached")
+
+        def api(limit):
+            mc = MemoryController(0, memory, verify_ecc=False)
+            config = PageForgeConfig(other_pages_entries=limit)
+            return PageForgeAPI(PageForgeEngine(mc, config=config))
+
+        self.strategies = {
+            limit: PageForgeTreeStrategy(api(limit), self.hypervisor)
+            for limit in _CACHE_LIMITS
+        }
+        self.references = {limit: api(limit) for limit in _CACHE_LIMITS}
+        # One link builder at every limit: the cache must key on both.
+        self.shared_build = self.strategies[31]._batch_links
+
+    def insert(self, k):
+        node = self.nodes[k]
+        if node.parent is None:  # not in the tree
+            self.tree.insert(node)
+
+    def apply(self, op):
+        kind, args = op[0], op[1:]
+        tree = self.tree
+        if kind == "insert":
+            for k in args[0]:
+                self.insert(k)
+        elif kind == "run":  # sorted runs force one rotation case each
+            base, count, step = args
+            for i in range(count):
+                self.insert((base + i * step) % _CACHE_KEYS)
+        elif kind == "remove":
+            members = list(tree)
+            if members:
+                tree.remove(members[args[0] % len(members)])
+        elif kind == "reset":  # then the old root returns, as a leaf
+            old_root = tree.root if len(tree) else None
+            for node in tree:
+                node.parent = None
+            tree.reset()
+            if old_root is not None:
+                tree.insert(old_root)
+        elif kind == "load":
+            self.load(*args)
+        elif kind == "shape":
+            self.shape(*args)
+        else:  # cache a batch at every node, so any rotation meets one
+            for node in list(tree):
+                self.check(node, args[0], self.shared_build)
+
+    def start(self, path):
+        """The node reached from the root by ``path`` (True = left),
+        stopping at a leaf; None for an empty tree."""
+        tree = self.tree
+        if not len(tree):
+            return None
+        node = tree.root
+        for go_left in path:
+            child = tree.children(node)[0 if go_left else 1]
+            if child is None:
+                break
+            node = child
+        return node
+
+    def load(self, path, limit):
+        """A driver load, against the uncached shape and the reference."""
+        tree = self.tree
+        start = self.start(path)
+        if start is None:
+            return
+        strategy = self.strategies[limit]
+        batch = strategy._load_batch(tree, start)
+        ref_batch, _less, _more = strategy._batch_links(
+            *tree.breadth_first(start, limit)
+        )
+        assert batch.nodes == ref_batch.nodes
+        assert batch.is_last == ref_batch.is_last
+        reference = self.references[limit]
+        bfs_nodes, bfs_last = _reference_load_batch(
+            reference, self.hypervisor, tree, start
+        )
+        assert batch.nodes == bfs_nodes and batch.is_last == bfs_last
+        assert [vars(e) for e in strategy.api.table.entries] == [
+            vars(e) for e in reference.table.entries
+        ]
+
+    def shape(self, path, limit):
+        """A cached shape under the shared builder."""
+        start = self.start(path)
+        if start is not None:
+            self.check(start, limit, self.shared_build)
+
+    def check(self, start, limit, build):
+        tree = self.tree
+        batch, less, more = tree.batch(start, limit, build)
+        ref_nodes, children = tree.breadth_first(start, limit)
+        ref_batch, ref_less, ref_more = build(ref_nodes, children)
+        assert batch.nodes == ref_nodes
+        assert (less, more) == (ref_less, ref_more)
+        assert batch.is_last == ref_batch.is_last
+
+    def check_cached(self):
+        """Every cached batch of a node in the tree is still exact."""
+        members = set(map(id, self.tree))
+        for start, (limit, build, *_batch) in list(
+                self.tree._batches.items()):
+            if id(start) in members:
+                self.check(start, limit, build)
+
+
+_cache_key = st.integers(0, _CACHE_KEYS - 1)
+_cache_start = st.lists(st.booleans(), max_size=5)
+_cache_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.lists(_cache_key, max_size=8)),
+        st.tuples(st.just("run"), _cache_key, st.integers(3, 24),
+                  st.sampled_from([1, -1, 2, -3])),
+        st.tuples(st.just("remove"), st.integers(0, _CACHE_KEYS)),
+        st.tuples(st.just("reset")),
+        st.tuples(st.just("load"), _cache_start,
+                  st.sampled_from(_CACHE_LIMITS)),
+        st.tuples(st.just("shape"), _cache_start,
+                  st.sampled_from(_CACHE_LIMITS)),
+        st.tuples(st.just("cache_all"), st.sampled_from(_CACHE_LIMITS)),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+@given(_cache_ops)
+# Random inserts under small cached batches: a recolouring climbs, then a
+# rotation lands on a node whose batch missed the inserted node's parent.
+@example([
+    ("insert", [17, 72, 8, 32, 15, 63, 57, 60, 83, 48, 26, 12, 62, 3, 49,
+                55, 77, 0, 89]),
+    ("cache_all", 3),
+    *[("insert", [k]) for k in (34, 29, 13, 40, 82, 2, 94)],
+])
+@settings(max_examples=80, deadline=None)
+def test_cached_batches_match_uncached_loads(ops):
+    """After inserts (with both rotation cases of the insert fixup),
+    removes and resets, every cached load gives the nodes, links,
+    ``is_last`` and table of an uncached one, and so does every batch
+    the cache still holds."""
+    machine = _CachedTreeMachine()
+    for op in ops:
+        machine.apply(op)
+        machine.check_cached()
+        machine.tree.validate()
+        # Keep batches cached near the root, where rotations land, at
+        # two limits of one builder.
+        for path, limit in (([], 31), ([], 7), ([True], 3), ([False], 7)):
+            machine.shape(path, limit)
+        machine.load([], 31)
+
+
+def test_cached_walk_after_insert_matches_fresh_strategy():
+    """A strategy whose batches are cached walks as a freshly built one
+    after an insert lands inside a cached batch."""
+    machine = _CachedTreeMachine()
+    tree = machine.tree
+    for k in range(0, _CACHE_KEYS - 1, 2):  # even keys; 48 nodes: refills
+        machine.insert(k)
+    strategy = machine.strategies[31]
+    memory = machine.hypervisor.memory
+
+    def walk(walker, k):
+        before = walker.table_refills
+        outcome = walker.walk(tree, memory.frame(machine.nodes[k].payload[1]))
+        return (
+            outcome.match, outcome.parent, outcome.direction,
+            outcome.comparisons, outcome.bytes_compared,
+            walker.table_refills - before,
+            [vars(e) for e in walker.api.table.entries],
+        )
+
+    first = walk(strategy, 61)
+    assert first[0] is None and first[5] >= 2
+    machine.insert(61)  # lands under the batch the walk fell off
+    mc = MemoryController(0, memory, verify_ecc=False)
+    fresh = PageForgeTreeStrategy(PageForgeAPI(PageForgeEngine(mc)),
+                                  machine.hypervisor)
+    # The cached strategy walks first: a fresh strategy's different
+    # link builder displaces the batches it loads.
+    keys = (63, 59, 61)
+    assert [walk(strategy, k) for k in keys] == [walk(fresh, k) for k in keys]
+
+
+@pytest.mark.parametrize("sampling", [1, 8])
+@pytest.mark.parametrize("position", [0, 1, 63, 64, 1535, 4095, None])
+def test_argmax_first_difference_matches_nonzero(position, sampling):
+    """``process_table`` finds the first differing byte with ``argmax``
+    of the inequality mask: the comparison's sign and lines compared are
+    the ``nonzero`` rule's, and equal pages are a duplicate."""
+    memory = PhysicalMemory(2 * PAGE_BYTES)
+    rng = np.random.default_rng(sampling)
+    a = rng.integers(0, 256, size=PAGE_BYTES, dtype=np.uint8)
+    b = a.copy()
+    if position is not None:
+        b[position] ^= 0x5A
+        b[position + 1:] = rng.integers(0, 256, size=PAGE_BYTES - position - 1,
+                                        dtype=np.uint8)
+    candidate, other = memory.allocate(), memory.allocate()
+    candidate.fill(a)
+    other.fill(b)
+    mc = MemoryController(0, memory, verify_ecc=False)
+    engine = PageForgeEngine(mc, line_sampling=sampling)
+    api = PageForgeAPI(engine)
+    api.fill_entries([(other.ppn, miss_sentinel(0, "left"),
+                       miss_sentinel(0, "right"))])
+    api.insert_PFE(candidate.ppn, last_refill=False, ptr=0)
+    api.trigger()
+    info = api.get_PFE_info()
+    diffs = (a != b).nonzero()[0]
+    if diffs.size:
+        first = int(diffs[0])
+        assert first == position
+        direction = "left" if a[first] < b[first] else "right"
+        assert not info.duplicate
+        assert info.ptr == miss_sentinel(0, direction)
+        assert engine.stats.line_pairs_compared == first // 64 + 1
+    else:
+        assert info.duplicate and info.ptr == 0
+        assert engine.stats.line_pairs_compared == PAGE_BYTES // 64
 
 
 def _frames_and_controller(seed, n_pages=3):
@@ -821,6 +1069,32 @@ def test_batched_page_read_matches_per_line_reads(
         coalesced = session.flush() if batched else mc.stats.coalesced_requests
         runs.append((latencies, coalesced, _controller_state(mc)))
     assert runs[0] == runs[1]
+
+
+def test_reused_read_session_follows_restored_controller():
+    """A controller's read session is reused across tables; after a
+    restore rebinds the pending-read buffer and the open rows, its reads
+    time as a fresh controller's do."""
+    memory, mc = _frames_and_controller(5)
+    fresh_memory, fresh = _frames_and_controller(5)
+    frames = [memory.frame(ppn) for ppn in (0, 1)]
+    fresh_frames = [fresh_memory.frame(ppn) for ppn in (0, 1)]
+    session = mc.read_session(AccessSource.PAGEFORGE)
+    session.read(frames, range(0, 64, 8), 0.0, 8)
+    session.flush()
+    assert mc.pending_reads and mc.read_session(AccessSource.PAGEFORGE) is session
+    restore_controller(mc, capture_controller(fresh))
+    latencies = [
+        controller.read_session(AccessSource.PAGEFORGE).read(
+            page_frames, range(0, 64, 8), 0.0, 8
+        )
+        for controller, page_frames in ((mc, frames), (fresh, fresh_frames))
+    ]
+    assert latencies[0] == latencies[1]
+    assert list(mc._pending_reads.items()) == list(
+        fresh._pending_reads.items()
+    )
+    assert mc.dram._open_rows == fresh.dram._open_rows
 
 
 def _noop_fault_hook(ppn, line_index, data, code):
