@@ -27,15 +27,12 @@ COMMON_PREFIX_BYTES = 3584
 
 def build_scan_fleet(n_vms=4, pages_per_vm=250, unmergeable_frac=0.6,
                      churn_frac=0.8, zero_frac=0.04,
-                     common_prefix_bytes=COMMON_PREFIX_BYTES, seed=2017,
-                     name_prefix="bench-vm"):
+                     common_prefix_bytes=COMMON_PREFIX_BYTES, seed=2017):
     """Build a hypervisor fleet for steady-state scanning.
 
     Returns ``(hypervisor, churn_pages)`` where ``churn_pages`` is the
     list of ``(vm_id, gpn)`` targets :func:`churn_tail` rewrites
-    between scan intervals.  Every shape knob is a parameter so the same
-    churn model serves both the single-host micro benches and the
-    per-shard fleet benches (:func:`build_shard_scan_fleet`).
+    between scan intervals.
     """
     hypervisor = Hypervisor(physical_memory=PhysicalMemory(1024 << 20))
     rng = DeterministicRNG(seed, "bench/steady")
@@ -55,7 +52,7 @@ def build_scan_fleet(n_vms=4, pages_per_vm=250, unmergeable_frac=0.6,
     churn_contents = [factory.make() for _ in range(n_churn)]
     churn_pages = []
     for vm_index in range(n_vms):
-        vm = hypervisor.create_vm(name=f"{name_prefix}{vm_index}")
+        vm = hypervisor.create_vm(name=f"bench-vm{vm_index}")
         gpn = 0
         for _ in range(n_unique):
             hypervisor.populate_page(vm, gpn, factory.make(), mergeable=True)
@@ -77,24 +74,6 @@ def build_scan_fleet(n_vms=4, pages_per_vm=250, unmergeable_frac=0.6,
             )
             gpn += 1
     return hypervisor, churn_pages
-
-
-def build_shard_scan_fleet(host_id, fleet_seed=2017, n_vms=4,
-                           pages_per_vm=250, **kwargs):
-    """One fleet shard's scan fixture: seed derived from the fleet seed.
-
-    Uses :func:`repro.fleet.config.shard_seed`, so a bench shard's
-    content streams relate to the fleet seed exactly as a simulated
-    host's do — fleet benches and unit benches share one churn model and
-    one derivation tree.
-    """
-    from repro.fleet.config import shard_seed
-
-    return build_scan_fleet(
-        n_vms=n_vms, pages_per_vm=pages_per_vm,
-        seed=shard_seed(fleet_seed, host_id),
-        name_prefix=f"h{host_id}-vm", **kwargs,
-    )
 
 
 def churn_tail(hypervisor, churn_pages, stamp,

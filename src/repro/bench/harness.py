@@ -2,10 +2,9 @@
 
 All timing uses ``time.process_time_ns`` (CPU time of this process):
 wall-clock on shared machines jitters by double-digit percentages, while
-per-op CPU cost is stable.  Micro-metrics report the *best* observed
-call (standard micro-benchmark practice — the minimum is the least
-noisy estimator of the true cost), end-to-end metrics report a single
-timed run.
+per-op CPU cost is stable.  Metrics report the *best* observed call
+(standard micro-benchmark practice — the minimum is the least noisy
+estimator of the true cost).
 """
 
 import json
@@ -90,13 +89,6 @@ def measure_pair_ns(first, second, ops_per_call, min_time_s=0.2):
                 fn, ops_per_call=ops, min_time_s=min_time_s / rounds,
             ))
     return best[0], best[1]
-
-
-def measure_once_ns(fn):
-    """CPU nanoseconds of a single call (end-to-end runs)."""
-    t0 = time.process_time_ns()
-    fn()
-    return time.process_time_ns() - t0
 
 
 def _git_sha():

@@ -5,7 +5,10 @@ Each suite times one hot path and returns a list of
 implementation exists, the suite measures it in the same process and
 emits a ``*.speedup_vs_scalar`` ratio — those ratios are the gated
 metrics (``gate=True``), because they cancel out host speed and stay
-comparable between the committed baseline and any CI runner.
+comparable between the committed baseline and any CI runner.  Nothing
+else is gated here: correctness bits (fleet determinism, failover
+equivalence, serve accounting, scenario savings) are checked by the
+tests and CI jobs that own them.
 
 Sizing: every suite takes ``quick`` — the CI smoke tier trims working
 sets and measurement windows so a full ``--quick`` run finishes in well
@@ -17,12 +20,7 @@ import time
 import numpy as np
 
 from repro.bench.fixtures import build_scan_fleet, churn_tail
-from repro.bench.harness import (
-    Metric,
-    measure_once_ns,
-    measure_op_ns,
-    measure_pair_ns,
-)
+from repro.bench.harness import Metric, measure_op_ns, measure_pair_ns
 from repro.bench.scalar import ScalarKSMDaemon
 from repro.cache import CoreCacheHierarchy, SetAssocCache, SnoopBus
 from repro.common.config import KSMConfig, PageForgeConfig, ProcessorConfig
@@ -43,10 +41,8 @@ from repro.mem import MemoryController, PhysicalMemory
 from repro.sim.engine import EventQueue
 from repro.virt import Hypervisor
 
-#: Suite registry: name -> callable(quick) -> [Metric].  Order matters:
-#: ``repro bench`` runs them in registration order, cheap micro suites
-#: first, whole-subsystem runs (fleet, replication, serve, scenarios)
-#: last.
+#: Suite registry: name -> callable(quick) -> [Metric].  ``repro bench``
+#: runs them in registration order.
 SUITES = {}
 
 
@@ -550,39 +546,35 @@ def bench_event_queue(quick):
 # Steady-state scan -----------------------------------------------------------
 
 
-def _scan_throughput(daemon_cls, fleets, warmup_intervals,
-                     measure_intervals):
-    """Steady-state pages scanned per CPU-second over ``fleets``.
+def _scan_throughput(daemon_cls, warmup_intervals, measure_intervals):
+    """Steady-state pages scanned per CPU-second on a fresh scan fleet.
 
-    ``fleets`` yields ``(hypervisor, churn_pages)`` fixtures; each gets
-    its own daemon, warmed for ``warmup_intervals`` and then measured
-    for ``measure_intervals``, and the rate pools every fleet's pages
-    and CPU time.  Only the ``scan_pages`` calls are timed; churn writes
-    between intervals model guest activity and are excluded, exactly as
-    the paper's scan-rate numbers exclude guest work.  A *fixed*
-    interval count (rather than a time window) means the vectorized and
-    scalar daemons measure bit-identical work, which keeps their ratio
-    stable across runs — it feeds a CI gate.
+    The daemon is warmed for ``warmup_intervals`` and then measured for
+    ``measure_intervals``.  Only the ``scan_pages`` calls are timed;
+    churn writes between intervals model guest activity and are
+    excluded, exactly as the paper's scan-rate numbers exclude guest
+    work.  A *fixed* interval count (rather than a time window) means
+    the vectorized and scalar daemons measure bit-identical work, which
+    keeps their ratio stable across runs — it feeds a CI gate.
     """
     budget = 1000
+    hypervisor, churn_pages = build_scan_fleet()
+    daemon = daemon_cls(
+        hypervisor, KSMConfig(pages_to_scan=budget, hash_bytes=PAGE_BYTES),
+    )
+    stamp = 0
+    for _ in range(warmup_intervals):
+        stamp += 1
+        churn_tail(hypervisor, churn_pages, stamp)
+        daemon.scan_pages(budget)
     pages = 0
     scan_s = 0.0
-    for hypervisor, churn_pages in fleets:
-        daemon = daemon_cls(
-            hypervisor,
-            KSMConfig(pages_to_scan=budget, hash_bytes=PAGE_BYTES),
-        )
-        stamp = 0
-        for _ in range(warmup_intervals):
-            stamp += 1
-            churn_tail(hypervisor, churn_pages, stamp)
-            daemon.scan_pages(budget)
-        for _ in range(measure_intervals):
-            stamp += 1
-            churn_tail(hypervisor, churn_pages, stamp)
-            t0 = time.process_time()
-            pages += daemon.scan_pages(budget).pages_scanned
-            scan_s += time.process_time() - t0
+    for _ in range(measure_intervals):
+        stamp += 1
+        churn_tail(hypervisor, churn_pages, stamp)
+        t0 = time.process_time()
+        pages += daemon.scan_pages(budget).pages_scanned
+        scan_s += time.process_time() - t0
     return pages / scan_s
 
 
@@ -598,271 +590,11 @@ def bench_steady_state_scan(quick):
     # Both tiers time 10 intervals: with 4, the ratio spread about
     # +-25% between back-to-back runs, nearly the whole gate tolerance.
     intervals = 10
-    vectorized = _scan_throughput(
-        KSMDaemon, [build_scan_fleet()], warmup, intervals
-    )
-    scalar = _scan_throughput(
-        ScalarKSMDaemon, [build_scan_fleet()], warmup, intervals
-    )
+    vectorized = _scan_throughput(KSMDaemon, warmup, intervals)
+    scalar = _scan_throughput(ScalarKSMDaemon, warmup, intervals)
     return [
         Metric("steady_state_scan.pages_per_s", vectorized, "pages/s"),
         Metric("steady_state_scan.scalar_pages_per_s", scalar, "pages/s"),
         Metric("steady_state_scan.speedup_vs_scalar", vectorized / scalar,
                "x", gate=True),
-    ]
-
-
-# Fleet pipeline --------------------------------------------------------------
-
-
-@suite("fleet")
-def bench_fleet(quick):
-    """Sharded fleet pipeline: shard cost, reduce cost, determinism bit.
-
-    The gated metric is ``parallel_fingerprint_equal`` — the fleet
-    layer's headline property as a CI bit: an in-process sequential run
-    and a two-worker pooled run of the same spec must reduce to
-    bit-identical fingerprints.  ``scan_pages_per_s`` drives the shared
-    per-shard scan fixture (:func:`build_shard_scan_fleet`), so the
-    fleet tier's scan cost is measured with the exact churn model the
-    single-host ``steady_state_scan`` suite uses.
-    """
-    from repro.bench.fixtures import build_shard_scan_fleet
-    from repro.fleet import (
-        FleetSpec,
-        reduce_shards,
-        run_fleet,
-        run_shard,
-        shard_tasks,
-    )
-
-    n_shards = 2 if quick else 4
-    spec = FleetSpec.uniform(
-        n_shards, backend="ksm",
-        n_vms=2 if quick else 3,
-        pages_per_vm=40 if quick else 80,
-        duration_s=0.04 if quick else 0.08,
-        warmup_s=0.04 if quick else 0.08,
-    )
-    tasks = shard_tasks(spec)
-    results = []
-
-    def run_all_shards():
-        results.clear()
-        results.extend(run_shard(task) for task in tasks)
-
-    seq_ns = measure_once_ns(run_all_shards)
-    reduce_ns = measure_op_ns(
-        lambda: reduce_shards(spec, results),
-        min_time_s=0.05 if quick else 0.2,
-    )
-    sequential = reduce_shards(spec, results)
-    pooled = run_fleet(spec, workers=2)
-    fingerprints_equal = float(
-        sequential.fingerprint == pooled.fingerprint
-    )
-
-    # Per-shard steady scan over the shared churn model.
-    scan_rate = _scan_throughput(
-        KSMDaemon,
-        (
-            build_shard_scan_fleet(
-                host_id, fleet_seed=spec.seed,
-                n_vms=2 if quick else 4,
-                pages_per_vm=100 if quick else 250,
-            )
-            for host_id in range(2)
-        ),
-        warmup_intervals=2, measure_intervals=2 if quick else 4,
-    )
-
-    return [
-        Metric("fleet.shard_run_ns", seq_ns / n_shards, "ns/shard",
-               higher_is_better=False),
-        Metric("fleet.shards_per_s", 1e9 * n_shards / seq_ns, "shards/s"),
-        Metric("fleet.reduce_ns_per_shard", reduce_ns / n_shards,
-               "ns/shard", higher_is_better=False),
-        Metric("fleet.scan_pages_per_s", scan_rate, "pages/s"),
-        Metric("fleet.parallel_fingerprint_equal", fingerprints_equal,
-               "bool", gate=True),
-    ]
-
-
-# Replication tier --------------------------------------------------------------
-
-
-@suite("replication")
-def bench_replication(quick):
-    """Journal streaming + failover: lag, failover latency, RTO.
-
-    Two in-process sessions: a clean one for steady-state streaming
-    cost and replica lag, and a primary-kill one for failover latency
-    (crash -> promoted replica resumed) and recovery-time-objective
-    (crash -> run completed on the promoted node).  The gated metric is
-    ``failover_equivalent`` — a determinism bit, not a timing: the
-    failed-over run's fingerprint must match the uninterrupted
-    reference on every host, or the replication tier is broken.
-    """
-    import tempfile
-
-    from repro.faults.plan import FaultPlan
-    from repro.recovery import ReplicationSession, RunSpec
-
-    spec = RunSpec(
-        app="moses", mode="ksm", seed=3,
-        pages_per_vm=24 if quick else 48, n_vms=3,
-        intervals=3 if quick else 6, checkpoint_every=2,
-        plan=FaultPlan(seed=3),
-    )
-
-    with tempfile.TemporaryDirectory() as workdir:
-        session = ReplicationSession(spec, workdir, n_replicas=2)
-        clean_ns = measure_once_ns(lambda: session.run())
-        rep = session.monitor.snapshot()
-    records = max(1, rep["records_streamed"])
-    stream_ns = clean_ns / records
-    lag_p95 = rep["lag_records"]["p95"]
-
-    kill_lsn = max(1, records // 2)
-    holder = {}
-
-    def run_failover():
-        with tempfile.TemporaryDirectory() as workdir:
-            failover = ReplicationSession(spec, workdir, n_replicas=2)
-            holder["out"] = failover.run(
-                kill_at_lsns=[kill_lsn], check_equivalence=True
-            )
-
-    rto_ns = measure_once_ns(run_failover)
-    out = holder["out"]
-    failover_s = out["replication"]["failover_latency_s"]["max"]
-    equivalent = float(out["equivalence"]["equivalent"])
-    return [
-        Metric("replication.stream_ns_per_record", stream_ns, "ns/record",
-               higher_is_better=False),
-        Metric("replication.steady_lag_p95_records", lag_p95, "records",
-               higher_is_better=False),
-        Metric("replication.failover_latency_ns", failover_s * 1e9, "ns",
-               higher_is_better=False),
-        Metric("replication.rto_ns", rto_ns, "ns", higher_is_better=False),
-        Metric("replication.failover_equivalent", equivalent, "bool",
-               gate=True),
-    ]
-
-
-# Serving tier ----------------------------------------------------------------
-
-
-@suite("serve")
-def bench_serve(quick):
-    """Overload robustness of the live front-end at 2x capacity.
-
-    A real server on an ephemeral port takes an open-loop Poisson run
-    at twice its own measured capacity (probed with the same bimodal
-    heavy/light mix, so the overload is genuine).  Every gated metric
-    is a machine-independent bit or ratio:
-
-    * ``accounting_exact`` — offered == accepted + shed + failed on
-      both the client and server ledgers;
-    * ``zero_deadline_violations`` — the load generator received no
-      200 past its deadline (late successes become 504s before the
-      status line);
-    * ``goodput_floor_ok`` — goodput under overload stays above the
-      floor fraction of what the server could have served;
-    * ``auditor_clean`` — overload never corrupted simulator state.
-    """
-    from repro.serve import MergeServer, ServeConfig, run_overload_check
-    from repro.verify.invariants import InvariantAuditor
-
-    auditor = InvariantAuditor()
-    config = ServeConfig(port=0, n_vms=2, pages_per_vm=40)
-    server = MergeServer(config, auditor=auditor).start()
-    try:
-        # The quick tier keeps the full probe/run windows: shorter
-        # ones leave the goodput ratio without statistical margin
-        # over the floor, and a gated bit must not flake.
-        verdict = run_overload_check(
-            server, overload_factor=2.0,
-            probe_s=1.0 if quick else 1.5,
-            duration_s=2.0 if quick else 3.0,
-            heavy_frac=0.5, heavy_pages=200 if quick else 400,
-        )
-    finally:
-        server.drain(timeout=15)
-    result = verdict.result
-    p99_s = result.latency.get("p99", 0.0)
-    return [
-        Metric("serve.capacity_qps", verdict.capacity_qps, "req/s"),
-        Metric("serve.goodput_qps", verdict.goodput_qps, "req/s"),
-        Metric("serve.goodput_ratio", verdict.goodput_ratio, "frac"),
-        Metric("serve.p99_latency_ns", p99_s * 1e9, "ns",
-               higher_is_better=False),
-        Metric("serve.goodput_floor_ok",
-               float(verdict.goodput_floor_ok), "bool", gate=True),
-        Metric("serve.accounting_exact",
-               float(result.accounting_exact), "bool", gate=True),
-        Metric("serve.zero_deadline_violations",
-               float(verdict.deadline_violations == 0), "bool",
-               gate=True),
-        Metric("serve.auditor_clean", float(auditor.clean), "bool",
-               gate=True),
-    ]
-
-
-# Scenario registry / serverless cold-start ----------------------------------
-
-
-@suite("scenarios")
-def bench_scenarios(quick):
-    """Serverless cold-start savings vs merge latency, hinted vs not.
-
-    Runs the :func:`~repro.scenarios.run_cold_start_study` twice-built
-    sandbox fleet (hinted and unhinted) under the invariant auditor and
-    gates the scenario tier's headline numbers:
-
-    * ``cold_start_savings_frac`` — fraction of the reclaimable
-      footprint the hinted fast path recovers in its *first* scan
-      interval (the cold-start window);
-    * ``hint_speedup`` — unhinted/hinted intervals-to-steady-state;
-    * ``auditor_clean`` / ``footprints_equal`` — determinism bits:
-      hinted merging obeys every frame-accounting invariant and
-      converges to the exact same footprint as the unhinted run.
-
-    All four are seed-pinned bits or deterministic interval counts —
-    machine speed never enters them, so they are safe CI gates.
-    """
-    from repro.scenarios import available_scenarios, run_cold_start_study
-
-    n_sandboxes = 4 if quick else 8
-    pages_per_vm = 64 if quick else 96
-    holder = {}
-
-    def run():
-        holder["study"] = run_cold_start_study(
-            backend="ksm", n_sandboxes=n_sandboxes,
-            pages_per_vm=pages_per_vm, seed=2017,
-        )
-
-    elapsed = measure_once_ns(run)
-    study = holder["study"]
-    accepted_frac = (
-        study.hints_accepted / study.hints_offered
-        if study.hints_offered else 0.0
-    )
-    return [
-        Metric("scenarios.registered", float(len(available_scenarios())),
-               "count"),
-        Metric("scenarios.study_run_ns", elapsed, "ns",
-               higher_is_better=False),
-        Metric("scenarios.serverless_cold_start_savings_frac",
-               study.cold_start_savings_frac, "frac", gate=True),
-        Metric("scenarios.serverless_unhinted_savings_frac",
-               study.unhinted_cold_start_savings_frac, "frac"),
-        Metric("scenarios.serverless_hint_speedup", study.hint_speedup,
-               "x", gate=True),
-        Metric("scenarios.hints_accepted_frac", accepted_frac, "frac"),
-        Metric("scenarios.auditor_clean", float(study.auditor_clean),
-               "bool", gate=True),
-        Metric("scenarios.footprints_equal",
-               float(study.footprints_equal), "bool", gate=True),
     ]

@@ -1,4 +1,4 @@
-"""A core as a timed FIFO resource."""
+"""A core: its id and busy-time accounting."""
 
 from dataclasses import dataclass
 
@@ -25,40 +25,16 @@ class CoreStats:
 
 
 class Core:
-    """One out-of-order core, modelled as a FIFO server.
+    """One out-of-order core: its id and busy-time accounting.
 
-    Work items (application queries, KSM scan intervals, OS driver
-    slices) are serialised: an item arriving at ``t`` starts at
-    ``max(t, next_free)``.  This captures the queueing that turns KSM's
-    CPU steal into sojourn-latency growth without modelling preemption.
+    The per-core FIFO that serialises queries and kernel work lives in
+    :class:`~repro.sim.load.LoadGenerator`, which charges each item's
+    service time to ``stats``.
     """
 
-    def __init__(self, core_id, frequency_hz=2e9):
+    def __init__(self, core_id):
         self.core_id = core_id
-        self.frequency_hz = float(frequency_hz)
-        self.next_free = 0.0
         self.stats = CoreStats()
 
-    def run_query(self, arrival_s, service_s):
-        """Schedule a query; returns (start_s, completion_s)."""
-        start = max(arrival_s, self.next_free)
-        completion = start + service_s
-        self.next_free = completion
-        self.stats.query_busy_s += service_s
-        self.stats.queries_served += 1
-        return start, completion
-
-    def run_kernel_work(self, ready_s, duration_s):
-        """Schedule a kernel-task slice; returns (start_s, completion_s)."""
-        start = max(ready_s, self.next_free)
-        completion = start + duration_s
-        self.next_free = completion
-        self.stats.kernel_busy_s += duration_s
-        self.stats.kernel_slices += 1
-        return start, completion
-
-    def cycles_to_seconds(self, cycles):
-        return cycles / self.frequency_hz
-
     def __repr__(self):
-        return f"Core(id={self.core_id}, next_free={self.next_free:.6f})"
+        return f"Core(id={self.core_id})"

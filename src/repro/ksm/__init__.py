@@ -8,7 +8,7 @@ byte hashed is counted, so the timing model can charge the daemon's work
 to whichever core it runs on (Table 4).
 """
 
-from repro.ksm.compare import CompareCounter, compare_pages
+from repro.ksm.compare import compare_pages
 from repro.ksm.daemon import KSMDaemon, KSMPassStats, KSMWorkStats
 from repro.ksm.esx import ESXStyleMerger, PageForgeESXBackend, SoftwareESXBackend
 from repro.ksm.jhash import jhash2, page_checksum
@@ -16,7 +16,6 @@ from repro.ksm.rbtree import ContentRBTree, RBNode, WalkOutcome
 from repro.ksm.uksm import UKSMConfig, UKSMDaemon, sample_hash
 
 __all__ = [
-    "CompareCounter",
     "ContentRBTree",
     "ESXStyleMerger",
     "KSMDaemon",

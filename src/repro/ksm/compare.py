@@ -9,32 +9,7 @@ both the sign and the number of bytes effectively touched so the timing
 model can charge cycles and cache traffic accurately.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from repro.common.units import CACHE_LINE_BYTES
-
-
-@dataclass
-class CompareCounter:
-    """Accumulates comparison work across a scanning interval."""
-
-    comparisons: int = 0
-    bytes_compared: int = 0
-    lines_touched: int = 0
-
-    def record(self, bytes_touched):
-        self.comparisons += 1
-        self.bytes_compared += bytes_touched
-        self.lines_touched += (
-            bytes_touched + CACHE_LINE_BYTES - 1
-        ) // CACHE_LINE_BYTES * 2  # both pages stream through the caches
-
-    def reset(self):
-        self.comparisons = 0
-        self.bytes_compared = 0
-        self.lines_touched = 0
 
 
 def _as_bytes(page):

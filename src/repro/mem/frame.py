@@ -135,24 +135,12 @@ class PageFrame:
         """8-byte ECC code of one line (as stored in the spare chip)."""
         return self.ecc_codes[line_index]
 
-    def checksum(self, checksum_fn, params):
-        """Memoized content checksum.
-
-        ``checksum_fn`` computes the value from this frame; ``params`` is
-        a hashable description of what was computed (window size,
-        initval, key geometry ...).  The result is cached until the next
-        write, so steady-state scan passes over unchanged pages skip the
-        hash entirely.
-        """
-        memo = self._checksum_memo
-        if memo is not None and memo[0] == params:
-            return memo[1]
-        value = checksum_fn(self)
-        self._checksum_memo = (params, value)
-        return value
-
     def seed_checksum(self, params, value):
-        """Prime the checksum memo (used by batch prefetchers)."""
+        """Set the checksum memo, kept until the next write.
+
+        ``params`` describes what was computed (window, initval); the
+        KSM daemon reads ``_checksum_memo`` back itself.
+        """
         self._checksum_memo = (params, value)
 
     def is_zero(self):

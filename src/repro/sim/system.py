@@ -161,7 +161,7 @@ class ServerSystem:
         self.bus = SnoopBus(page_invalidation_scope="shared-only")
         self.l3 = SetAssocCache(proc.l3)
         self.bus.register_shared(self.l3)
-        self.cores = [Core(i, self.freq) for i in range(proc.n_cores)]
+        self.cores = [Core(i) for i in range(proc.n_cores)]
         self.hierarchies = [
             CoreCacheHierarchy(
                 i, proc, self.l3, self.bus,

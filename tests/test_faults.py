@@ -471,6 +471,53 @@ class TestDriverRetryAndPoison:
         system.hypervisor.verify_consistency()
 
 
+class TestTimedSoftwareFallback:
+    def test_software_interval_is_charged_and_scheduled(self, monkeypatch):
+        # A fault rate far over the governor's threshold degrades the
+        # timed PageForge backend after its first interval; each later
+        # software interval occupies a core like ksmd does.
+        system = ServerSystem(
+            TAILBENCH_APPS["moses"], mode="pageforge",
+            fault_plan=FaultPlan.uniform(1e-2, seed=3),
+            scale=SimulationScale(pages_per_vm=60, n_vms=2,
+                                  duration_s=0.05, warmup_s=0.05),
+            seed=3,
+        )
+        backend = system.backend
+        fallbacks = []
+        real_cycles = backend._degraded_chunk_cycles
+
+        def recording_cycles(interval, now):
+            before = system.ksm_timing.total_cycles
+            cycles = real_cycles(interval, now)
+            fallbacks.append((system.pf_driver.backend, cycles,
+                              system.ksm_timing.total_cycles - before))
+            return cycles
+
+        chunks = []
+        real_schedule = system.schedule_kernel_chunk
+
+        def recording_schedule(duration_fn, *args, **kwargs):
+            chunks.append(duration_fn())
+            return real_schedule(duration_fn, *args, **kwargs)
+
+        monkeypatch.setattr(backend, "_degraded_chunk_cycles",
+                            recording_cycles)
+        monkeypatch.setattr(system, "schedule_kernel_chunk",
+                            recording_schedule)
+        system.run()
+
+        assert fallbacks
+        # Only software intervals charge the KSM cycle ledger here.
+        assert system.ksm_timing.intervals == len(fallbacks)
+        for mode, cycles, charged in fallbacks:
+            assert mode == "software"
+            assert cycles > 0
+            assert cycles == pytest.approx(charged, abs=1.0)
+            assert cycles / system.freq in chunks
+        system.hypervisor.verify_consistency()
+
+
 @pytest.mark.slow
 class TestCampaignDeterminism:
     def test_tiny_campaign_clean_and_reproducible(self):

@@ -24,6 +24,11 @@ TINY = SimulationScale(
     pages_per_vm=60, n_vms=2, duration_s=0.05, warmup_s=0.05
 )
 
+# The cold-start study's floors: 70% of what 4 sandboxes x 64 pages
+# read at seeds 11 and 2017 (savings 0.95349, speedup 1.5).
+COLD_START_SAVINGS_FLOOR = 0.7 * 0.95349
+HINT_SPEEDUP_FLOOR = 0.7 * 1.5
+
 
 def _fresh_hypervisor(mib=256):
     return Hypervisor(physical_memory=PhysicalMemory(mib * 1024 * 1024))
@@ -252,19 +257,21 @@ class TestBackendHintStats:
 
 class TestColdStartStudy:
     def test_hints_speed_up_and_stay_auditor_clean(self):
-        study = run_cold_start_study(
-            backend="ksm", n_sandboxes=4, pages_per_vm=64, seed=11,
-        )
-        assert study.auditor_clean
-        assert study.footprints_equal
-        assert study.hints_accepted > 0
-        assert study.reclaimable_pages > 0
-        assert 0.0 < study.cold_start_savings_frac <= 1.0
-        # The hinted run reclaims strictly more in interval 1 and
-        # reaches steady state at least as fast.
-        assert (study.hinted_first_interval_pages
-                < study.unhinted_first_interval_pages)
-        assert study.hint_speedup >= 1.0
+        for seed in (11, 2017):
+            study = run_cold_start_study(
+                backend="ksm", n_sandboxes=4, pages_per_vm=64, seed=seed,
+            )
+            assert study.auditor_clean
+            assert study.footprints_equal
+            assert study.hints_accepted > 0
+            assert study.reclaimable_pages > 0
+            assert (COLD_START_SAVINGS_FLOOR
+                    <= study.cold_start_savings_frac <= 1.0)
+            # The hinted run reclaims strictly more in interval 1 and
+            # reaches steady state faster.
+            assert (study.hinted_first_interval_pages
+                    < study.unhinted_first_interval_pages)
+            assert study.hint_speedup >= HINT_SPEEDUP_FLOOR
 
     def test_metrics_payload_round_trips(self):
         study = run_cold_start_study(
