@@ -25,7 +25,6 @@ from repro.core.driver import (
 )
 from repro.core.engine import PageForgeEngine, PageForgeStats
 from repro.core.hashkey import ECCHashKeyGenerator, ecc_hash_key
-from repro.core.multi import MultiModuleStats, MultiPageForge
 from repro.core.power import PageForgePowerModel, PowerReport
 from repro.core.scan_table import (
     INVALID_INDEX,
@@ -41,8 +40,6 @@ __all__ = [
     "ArbitrarySetStrategy",
     "ECCHashKeyGenerator",
     "INVALID_INDEX",
-    "MultiModuleStats",
-    "MultiPageForge",
     "OtherPageEntry",
     "PFEEntry",
     "PFEInfo",

@@ -2,9 +2,8 @@
 
 Section 4.1 places one PageForge module in one (home) memory
 controller; ``home_controller_for`` is the single place that choice is
-made, and ``MultiPageForge`` is the evaluated alternative of one module
-per controller.  These tests pin the placement logic and its wiring
-through the timed system's backend.
+made.  These tests pin the placement logic and its wiring through the
+timed system's backend.
 """
 
 import dataclasses
@@ -12,17 +11,13 @@ import dataclasses
 import pytest
 
 from repro.common.config import (
-    KSMConfig,
     PageForgeConfig,
     TAILBENCH_APPS,
     default_machine_config,
 )
-from repro.common.units import PAGE_BYTES
-from repro.core.multi import MultiPageForge
-from repro.mem import MemoryController, PhysicalMemory
+from repro.mem import MemoryController
 from repro.mem.controller import home_controller_for
 from repro.sim import ServerSystem, SimulationScale
-from repro.virt import Hypervisor
 
 TINY = SimulationScale(
     pages_per_vm=100, n_vms=2, duration_s=0.08, warmup_s=0.08,
@@ -78,38 +73,3 @@ class TestSystemPlacement:
         system.run()
         # The engine's scans move lines through its home controller.
         assert home.stats.total_reads > 0
-
-
-class TestMultiControllerPlacement:
-    def build_world(self, rng, n_vms=3, n_shared=6):
-        memory = PhysicalMemory(128 << 20)
-        hypervisor = Hypervisor(physical_memory=memory)
-        shared = [rng.bytes_array(PAGE_BYTES) for _ in range(n_shared)]
-        for i in range(n_vms):
-            vm = hypervisor.create_vm(f"vm{i}")
-            for gpn, content in enumerate(shared):
-                hypervisor.populate_page(vm, gpn, content, mergeable=True)
-        return memory, hypervisor
-
-    def test_one_engine_per_controller(self, rng):
-        memory, hypervisor = self.build_world(rng)
-        controllers = make_controllers(memory, 3)
-        multi = MultiPageForge(
-            hypervisor, controllers,
-            ksm_config=KSMConfig(pages_to_scan=500),
-        )
-        assert multi.n_modules == 3
-        for engine, controller in zip(multi.engines, controllers):
-            assert engine.controller is controller
-
-    def test_scanning_touches_every_controller(self, rng):
-        memory, hypervisor = self.build_world(rng, n_vms=4, n_shared=8)
-        controllers = make_controllers(memory, 2)
-        multi = MultiPageForge(
-            hypervisor, controllers,
-            ksm_config=KSMConfig(pages_to_scan=500),
-        )
-        multi.run_to_steady_state()
-        stats = multi.stats()
-        assert all(c > 0 for c in stats.per_module_comparisons)
-        hypervisor.verify_consistency()
