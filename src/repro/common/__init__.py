@@ -1,17 +1,10 @@
-"""Shared substrate: units, configuration, deterministic RNG, bit helpers.
+"""Shared substrate: units, configuration, deterministic RNG.
 
 Every subsystem in the reproduction draws its architectural parameters from
 :mod:`repro.common.config`, which encodes Table 2 (architecture) and Table 3
 (application QPS) of the paper.
 """
 
-from repro.common.bitops import (
-    bit_count,
-    extract_bits,
-    parity,
-    set_bit,
-    test_bit,
-)
 from repro.common.config import (
     ApplicationConfig,
     CacheConfig,
@@ -57,15 +50,10 @@ __all__ = [
     "ProcessorConfig",
     "TAILBENCH_APPS",
     "VirtualizationConfig",
-    "bit_count",
     "bytes_to_gib",
     "cycles_to_seconds",
     "default_machine_config",
     "derive_rng",
-    "extract_bits",
     "gbps",
-    "parity",
     "seconds_to_cycles",
-    "set_bit",
-    "test_bit",
 ]

@@ -1,15 +1,12 @@
-"""Hypothesis property tests for ``common/bitops`` and ``common/units``.
+"""Hypothesis property tests for ``common/units``.
 
-Both modules sit under every layer (the ECC codec, hash keys, and the
-timing model) but were only exercised indirectly before; these pin down
-their algebraic properties directly.
+The unit conversions sit under the timing model and were only exercised
+indirectly before; these pin down their algebraic properties directly.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common import bitops
-from repro.common.bitops import bit_count, extract_bits, parity, set_bit
 from repro.common.units import (
     CACHE_LINE_BYTES,
     GIB,
@@ -20,70 +17,6 @@ from repro.common.units import (
     gbps,
     seconds_to_cycles,
 )
-
-# Imported under a non-collectable name: pytest would otherwise treat
-# ``test_bit`` itself as a test function.
-check_bit = bitops.test_bit
-
-nonneg = st.integers(min_value=0, max_value=(1 << 72) - 1)
-bit_index = st.integers(min_value=0, max_value=71)
-
-
-class TestBitops:
-    @given(nonneg)
-    def test_bit_count_matches_int_bit_count(self, value):
-        assert bit_count(value) == value.bit_count()
-
-    @given(nonneg, nonneg)
-    def test_bit_count_additive_over_disjoint_masks(self, a, b):
-        assert bit_count((a << 72) | b) == bit_count(a) + bit_count(b)
-
-    def test_bit_count_rejects_negative(self):
-        with pytest.raises(ValueError):
-            bit_count(-1)
-
-    @given(nonneg)
-    def test_parity_is_bit_count_mod_2(self, value):
-        assert parity(value) == bit_count(value) % 2
-
-    @given(nonneg, nonneg)
-    def test_parity_xor_homomorphism(self, a, b):
-        assert parity(a ^ b) == parity(a) ^ parity(b)
-
-    @given(nonneg, bit_index, st.integers(min_value=0, max_value=1))
-    def test_set_bit_then_test_bit(self, value, index, bit):
-        assert check_bit(set_bit(value, index, bit), index) == bool(bit)
-
-    @given(nonneg, bit_index, st.integers(min_value=0, max_value=1))
-    def test_set_bit_idempotent(self, value, index, bit):
-        once = set_bit(value, index, bit)
-        assert set_bit(once, index, bit) == once
-
-    @given(nonneg, bit_index, bit_index,
-           st.integers(min_value=0, max_value=1))
-    def test_set_bit_leaves_other_bits(self, value, index, other, bit):
-        if index == other:
-            return
-        assert check_bit(set_bit(value, index, bit), other) == \
-            check_bit(value, other)
-
-    @given(nonneg, st.integers(min_value=0, max_value=80),
-           st.integers(min_value=0, max_value=80))
-    def test_extract_bits_matches_shift_mask(self, value, offset, width):
-        expected = (value >> offset) & ((1 << width) - 1)
-        assert extract_bits(value, offset, width) == expected
-
-    @given(nonneg)
-    def test_extract_reassembles_value(self, value):
-        lo = extract_bits(value, 0, 36)
-        hi = extract_bits(value, 36, 36)
-        assert (hi << 36) | lo == value
-
-    def test_extract_bits_rejects_negative_shape(self):
-        with pytest.raises(ValueError):
-            extract_bits(5, -1, 3)
-        with pytest.raises(ValueError):
-            extract_bits(5, 3, -1)
 
 
 class TestUnits:
