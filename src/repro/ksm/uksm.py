@@ -115,16 +115,3 @@ class UKSMDaemon(KSMDaemon):
         self.cycles_per_page_estimate = (
             0.7 * self.cycles_per_page_estimate + 0.3 * observed
         )
-
-    def scan_budgeted_interval(self, interval_seconds=0.02):
-        """One governed work interval; returns (stats, quota)."""
-        quota = self.pages_for_interval(interval_seconds)
-        stats = self.scan_pages(quota)
-        # Approximate this interval's CPU cost from its work quantities.
-        cycles = (
-            stats.bytes_compared * 2 / 8.0
-            + stats.checksum_bytes * 3.0
-            + stats.pages_scanned * 15_000.0
-        )
-        self.observe_interval_cost(stats.pages_scanned, cycles)
-        return stats, quota

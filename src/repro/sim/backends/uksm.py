@@ -4,9 +4,8 @@ Rides the software-KSM backend's chunk machinery (same core occupancy,
 same cache-cost sink) and substitutes UKSM's three differences: the
 :class:`~repro.ksm.uksm.UKSMDaemon` (every anonymous page, strided
 sample hash) and the CPU-budget governor, which converts the daemon's
-running cycles-per-page estimate into the next interval's page quota —
-fed back here from the *measured* chunk cost instead of UKSM's own
-coarse approximation.
+running cycles-per-page estimate into the next interval's page quota.
+The estimate is fed back here from each chunk's measured cycle cost.
 """
 
 from repro.ksm.uksm import UKSMConfig, UKSMDaemon

@@ -98,7 +98,9 @@ class TestUKSMBackend:
 
     def test_budget_estimate_fed_from_measured_cost(self, new_mode_systems):
         daemon = new_mode_systems["uksm"].ksm
-        # observe_interval_cost ran: the estimate left its initial value.
+        # _observe_chunk fed the measured chunk cost into the EWMA: the
+        # estimate left its initial 20,000 cycles/page.
+        assert daemon.cycles_per_page_estimate != 20_000.0
         assert daemon.cycles_per_page_estimate > 0
         assert daemon.stats.pages_scanned > 0
 

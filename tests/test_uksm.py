@@ -103,13 +103,6 @@ class TestBudgetGovernor:
         daemon.observe_interval_cost(10, 1_000_000)  # 100k cycles/page
         assert daemon.cycles_per_page_estimate > 1000.0
 
-    def test_budgeted_interval_runs(self, hypervisor, rng):
-        build_mixed_world(hypervisor, rng)
-        daemon = UKSMDaemon(hypervisor)
-        stats, quota = daemon.scan_budgeted_interval(0.02)
-        assert quota >= daemon.config.min_pages_per_interval
-        assert stats.pages_scanned >= 0
-
     def test_zero_scan_does_not_update_estimate(self, hypervisor, rng):
         daemon = UKSMDaemon(hypervisor)
         before = daemon.cycles_per_page_estimate
