@@ -19,11 +19,11 @@ import time
 
 import numpy as np
 
-from repro.bench.fixtures import build_scan_fleet, churn_tail
 from repro.bench.harness import Metric, measure_op_ns, measure_pair_ns
 from repro.bench.scalar import ScalarKSMDaemon
 from repro.cache import CoreCacheHierarchy, SetAssocCache, SnoopBus
 from repro.common.config import KSMConfig, PageForgeConfig, ProcessorConfig
+from repro.common.rng import DeterministicRNG
 from repro.common.units import PAGE_BYTES
 from repro.core import (
     ArbitrarySetStrategy,
@@ -40,6 +40,7 @@ from repro.ksm.rbtree import ContentRBTree, RBNode, WalkOutcome
 from repro.mem import MemoryController, PhysicalMemory
 from repro.sim.engine import EventQueue
 from repro.virt import Hypervisor
+from repro.workloads.memimage import MemoryImageProfile, build_vm_images
 
 #: Suite registry: name -> callable(quick) -> [Metric].  ``repro bench``
 #: runs them in registration order.
@@ -61,12 +62,19 @@ def run_suites(names, quick):
     return metrics
 
 
-def _tail_divergent_pages(n_pages, prefix_bytes=3584, seed=2017):
+#: Bytes every benchmark page shares before diverging.  Same-role VM
+#: images (guest kernels, libraries) agree until the tail, so a
+#: comparison walks deep into the page before deciding.
+COMMON_PREFIX_BYTES = 3584
+
+
+def _tail_divergent_pages(n_pages, prefix_bytes=COMMON_PREFIX_BYTES,
+                          seed=2017):
     """(N, PAGE_BYTES) uint8 pages sharing a long common prefix.
 
-    Mirrors the same-role-VM content shape the fleet fixture uses: the
-    comparison cost of ordering two pages is dominated by the shared
-    prefix, which is the realistic (worst) case for the compare path.
+    Mirrors the content shape of :func:`scan_fleet`: the comparison
+    cost of ordering two pages is dominated by the shared prefix, which
+    is the realistic (worst) case for the compare path.
     """
     rng = np.random.default_rng(seed)
     pages = np.tile(
@@ -546,6 +554,45 @@ def bench_event_queue(quick):
 # Steady-state scan -----------------------------------------------------------
 
 
+def scan_fleet():
+    """The steady-state scan fleet: ``(hypervisor, images)``.
+
+    Four VMs of 250 pages, built by the guest-image builder with a
+    :data:`COMMON_PREFIX_BYTES` prefix so every comparison walks deep
+    into the page.  Most unmergeable pages are churn pages, which
+    :func:`churn_tail` keeps unstable between scan intervals.
+    """
+    hypervisor = Hypervisor(physical_memory=PhysicalMemory(1024 << 20))
+    profile = MemoryImageProfile(
+        n_pages_per_vm=250, unmergeable_frac=0.6, zero_frac=0.04,
+        churn_frac=0.8,
+    )
+    images = build_vm_images(
+        hypervisor, profile, 4, DeterministicRNG(2017, "bench/steady"),
+        name_prefix="bench-vm", common_prefix_bytes=COMMON_PREFIX_BYTES,
+    )
+    return hypervisor, images
+
+
+def churn_tail(hypervisor, churn_pages, stamp):
+    """Stamp every churn page's tail with a VM-distinct write.
+
+    The payload encodes ``(stamp, vm_id)`` so the same logical page on
+    different VMs never re-converges to equal content — churned pages
+    stay permanently unstable instead of cycling through merge and
+    CoW-break, which would pollute a scan-throughput measurement with
+    hypervisor merge costs.
+    """
+    slots = (PAGE_BYTES - COMMON_PREFIX_BYTES - 8) // 16
+    vms = hypervisor.vms
+    for vm_id, gpn in churn_pages:
+        payload = np.frombuffer(
+            np.int64(stamp * 1000 + vm_id).tobytes(), dtype=np.uint8
+        ).copy()
+        offset = COMMON_PREFIX_BYTES + 16 * ((gpn * 31) % slots)
+        hypervisor.guest_write(vms[vm_id], gpn, offset, payload)
+
+
 def _scan_throughput(daemon_cls, warmup_intervals, measure_intervals):
     """Steady-state pages scanned per CPU-second on a fresh scan fleet.
 
@@ -555,10 +602,13 @@ def _scan_throughput(daemon_cls, warmup_intervals, measure_intervals):
     excluded, exactly as the paper's scan-rate numbers exclude guest
     work.  A *fixed* interval count (rather than a time window) means
     the vectorized and scalar daemons measure bit-identical work, which
-    keeps their ratio stable across runs — it feeds a CI gate.
+    keeps their ratio stable across runs — it feeds a CI gate.  The
+    full-page checksum window (``hash_bytes=4096``) matches Linux's
+    ``calc_checksum`` over the page, making hashing a first-class cost.
     """
     budget = 1000
-    hypervisor, churn_pages = build_scan_fleet()
+    hypervisor, images = scan_fleet()
+    churn_pages = images.churn_pages
     daemon = daemon_cls(
         hypervisor, KSMConfig(pages_to_scan=budget, hash_bytes=PAGE_BYTES),
     )

@@ -24,6 +24,9 @@ import numpy as np
 
 from repro.common.units import PAGE_BYTES
 
+#: Bytes every generated page shares before diverging (guest images).
+COMMON_PREFIX_BYTES = 1536
+
 
 class ContentFactory:
     """Generates page contents with realistic cross-page similarity.
@@ -38,7 +41,7 @@ class ContentFactory:
     """
 
     def __init__(self, rng, n_templates=24, mutations=(2, 6),
-                 common_prefix_bytes=1536):
+                 common_prefix_bytes=COMMON_PREFIX_BYTES):
         self.rng = rng
         self.common_prefix_bytes = int(common_prefix_bytes)
         # All templates share a common prefix (think: identical headers,
@@ -189,15 +192,18 @@ class WriteChurner:
 
 
 def build_vm_images(hypervisor, profile, n_vms, rng, name_prefix="vm",
-                    mergeable=True):
+                    mergeable=True, common_prefix_bytes=COMMON_PREFIX_BYTES):
     """Create and populate ``n_vms`` VM images under ``hypervisor``.
 
     Guest address layout (identical across VMs, as identical guest images
     produce): ``[unique | churn | zero | shared-all | pair-shared]``.
-    Returns a :class:`BuiltImages`.
+    Every non-zero page shares its first ``common_prefix_bytes`` bytes
+    (see :class:`ContentFactory`).  Returns a :class:`BuiltImages`.
     """
     n_unique, n_churn, n_zero, n_all, n_pair = profile.counts()
-    factory = ContentFactory(rng.derive("content-factory"))
+    factory = ContentFactory(
+        rng.derive("content-factory"), common_prefix_bytes=common_prefix_bytes
+    )
 
     # Pre-generate shared contents once so VMs genuinely share bytes.
     shared_all_contents = [factory.make() for _ in range(n_all)]
