@@ -2,12 +2,7 @@
 
 import numpy as np
 
-
-def geometric_mean(values):
-    values = [v for v in values if v > 0]
-    if not values:
-        return 0.0
-    return float(np.exp(np.mean(np.log(values))))
+from repro.workloads.tailbench import geometric_mean
 
 
 def _rule(width=78):

@@ -15,6 +15,14 @@ from typing import List
 import numpy as np
 
 
+def geometric_mean(values):
+    """Geometric mean of the positive ``values`` (0.0 when none are)."""
+    values = [v for v in values if v > 0]
+    if not values:
+        return 0.0
+    return float(np.exp(np.mean(np.log(values))))
+
+
 @dataclass
 class QueryRecord:
     """One completed query."""
@@ -113,11 +121,7 @@ class LatencyCollector:
 
     def geomean_across_vms(self, per_vm_fn):
         """Geometric mean of a per-VM statistic (the paper's bars)."""
-        values = [per_vm_fn(vm_id) for vm_id in self.vm_ids()]
-        values = [v for v in values if v > 0]
-        if not values:
-            return 0.0
-        return float(np.exp(np.mean(np.log(values))))
+        return geometric_mean(per_vm_fn(vm_id) for vm_id in self.vm_ids())
 
     def geomean_mean_sojourn_s(self):
         return self.geomean_across_vms(self.mean_sojourn_s)
