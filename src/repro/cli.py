@@ -301,15 +301,11 @@ def cmd_faults(args):
 def cmd_supervise(args):
     """Crash-safe supervised run: checkpoints, journal, watchdog, resume.
 
-    ``--worker`` is the internal child-process entry the supervisor
-    spawns; everything else is the parent-side campaign driver.
+    The replicated tier with zero replicas: the worker runs under
+    ``<workdir>/primary`` and every crash or stall resumes it in place.
     """
     from repro.faults import FaultPlan
-    from repro.recovery import RunSpec, Supervisor
-    from repro.recovery.supervisor import run_worker
-
-    if args.worker:
-        return run_worker(args.workdir, args.attempt)
+    from repro.recovery import ReplicatedSupervisor, RunSpec
 
     spec = None
     if not args.resume:
@@ -327,18 +323,30 @@ def cmd_supervise(args):
             intervals=args.intervals,
             checkpoint_every=args.checkpoint_every, plan=plan,
         )
-    supervisor = Supervisor(
-        args.workdir, spec=spec, max_attempts=args.max_attempts,
-        stall_timeout=args.stall_timeout,
+    supervisor = ReplicatedSupervisor(
+        args.workdir, spec=spec, n_replicas=0,
+        max_attempts=args.max_attempts, stall_timeout=args.stall_timeout,
     )
     outcome = supervisor.run(check_equivalence=args.check_equivalence)
-    print(outcome.to_json())
-    if not outcome.completed:
+    print(json.dumps(
+        {
+            k: outcome[k]
+            for k in ("completed", "attempts", "crashes", "stalls_killed",
+                      "exit_codes", "promoted", "result", "equivalence")
+        },
+        indent=2, sort_keys=True,
+    ))
+    return _supervised_exit_code(outcome)
+
+
+def _supervised_exit_code(outcome):
+    """0 iff the run completed clean (and equivalent, when checked)."""
+    if not outcome["completed"]:
         return 1
-    validation = outcome.result["validation"]
+    validation = outcome["result"]["validation"]
     clean = validation["auditor_clean"] and validation["zero_false_merges"]
-    if outcome.equivalence is not None:
-        clean &= outcome.equivalence["equivalent"]
+    if outcome["equivalence"] is not None:
+        clean &= outcome["equivalence"]["equivalent"]
     return 0 if clean else 1
 
 
@@ -395,14 +403,9 @@ def cmd_replicate(args):
           f"{rep['records_streamed']} records / "
           f"{rep['checkpoints_streamed']} checkpoints streamed, "
           f"lag p95 {rep['lag_records']['p95']:.0f} records")
-    if not outcome["completed"]:
-        return 1
-    validation = outcome["result"]["validation"]
-    clean = validation["auditor_clean"] and validation["zero_false_merges"]
     if outcome["equivalence"] is not None:
         print("equivalent:", outcome["equivalence"]["equivalent"])
-        clean &= outcome["equivalence"]["equivalent"]
-    return 0 if clean else 1
+    return _supervised_exit_code(outcome)
 
 
 def cmd_demo(args):
@@ -606,7 +609,8 @@ def build_parser():
         help="crash-safe supervised run with checkpoint/journal recovery",
     )
     p.add_argument("--workdir", required=True,
-                   help="run directory (spec, checkpoints, journal)")
+                   help="run directory (outcome.json; the run itself in "
+                        "primary/)")
     p.add_argument("--resume", action="store_true",
                    help="continue an existing workdir instead of starting "
                         "a fresh spec")
@@ -628,13 +632,9 @@ def build_parser():
                         "(0 = off)")
     p.add_argument("--max-attempts", type=int, default=5)
     p.add_argument("--stall-timeout", type=float, default=30.0,
-                   help="seconds without a heartbeat before SIGKILL")
+                   help="seconds of stream silence before SIGKILL")
     p.add_argument("--check-equivalence", action="store_true",
                    help="replay uninterrupted and compare fingerprints")
-    p.add_argument("--worker", action="store_true",
-                   help=argparse.SUPPRESS)
-    p.add_argument("--attempt", type=int, default=0,
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_supervise)
 
     p = sub.add_parser(

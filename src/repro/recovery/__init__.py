@@ -7,10 +7,15 @@
 ``journal``    — the fsync-batched write-ahead merge journal with torn-
                  tail recovery and lockstep divergence detection;
 ``runner``     — :class:`RecoverableRun`, the checkpointable merge loop
-                 whose resume is bit-identical to never having crashed;
-``supervisor`` — the watchdog parent process (`repro supervise`);
-``replication`` — journal-streaming primary-backup replicas, heartbeat
-                 failover and chaos transport (`repro replicate`).
+                 whose resume is bit-identical to never having crashed,
+                 and :func:`check_equivalence` against an uninterrupted
+                 replay;
+``replication`` — the crash/resume drivers: journal-streaming
+                 primary-backup replicas, failover and chaos transport,
+                 in process (:class:`ReplicationSession`) or as a
+                 watchdog process tree (:class:`ReplicatedSupervisor`,
+                 `repro replicate`).  With zero replicas they are the
+                 single-node tier (`repro supervise`).
 """
 
 from repro.recovery.journal import (
@@ -25,14 +30,13 @@ from repro.recovery.replication import (
     ReplicationMonitor,
     ReplicationSession,
 )
-from repro.recovery.runner import RecoverableRun, RunSpec, run_to_completion
+from repro.recovery.runner import RecoverableRun, RunSpec
 from repro.recovery.snapshot import (
     CheckpointCorrupt,
     CheckpointStore,
     dump_checkpoint,
     load_checkpoint,
 )
-from repro.recovery.supervisor import Supervisor, SupervisorOutcome
 
 __all__ = [
     "CheckpointCorrupt",
@@ -45,11 +49,8 @@ __all__ = [
     "ReplicationMonitor",
     "ReplicationSession",
     "RunSpec",
-    "Supervisor",
-    "SupervisorOutcome",
     "dump_checkpoint",
     "load_checkpoint",
     "read_journal",
     "replay_journal",
-    "run_to_completion",
 ]

@@ -8,16 +8,21 @@
                 + checkpoint copy whose workdir is directly resumable;
 ``monitor``   — :class:`ReplicationMonitor`, stream-health telemetry
                 exported through the :class:`MetricsRegistry` seam;
+``group``     — :class:`ReplicaGroup`, the replicas of one primary:
+                frame fan-out, deterministic election, promotion and
+                the final drain;
 ``session``   — the in-process tier (:class:`ReplicationSession`) with
-                deterministic election and failover-by-resume;
+                failover-by-resume;
 ``cluster``   — :class:`ReplicatedSupervisor`, the process-tree harness
-                with real sockets and real SIGKILL (`repro replicate`).
+                with real sockets and real SIGKILL (`repro replicate`,
+                and `repro supervise` with zero replicas).
 """
 
 from repro.recovery.replication.cluster import (
     ReplicatedSupervisor,
     run_primary_worker,
 )
+from repro.recovery.replication.group import ReplicaGroup
 from repro.recovery.replication.monitor import ReplicationMonitor
 from repro.recovery.replication.protocol import (
     FrameCorrupt,
@@ -43,6 +48,7 @@ __all__ = [
     "FrameCorrupt",
     "FrameDecoder",
     "JournalStreamer",
+    "ReplicaGroup",
     "ReplicaState",
     "ReplicatedSupervisor",
     "ReplicationMonitor",

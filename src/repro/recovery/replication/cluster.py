@@ -19,11 +19,16 @@ topology:
   last-seen monotonic time, and heartbeat frames flow every interval.
   Silence beyond ``stall_timeout`` means SIGKILL — a hung primary is
   dead, it just does not know it yet;
-* on worker death the supervisor elects (max durable LSN, lowest id on
-  ties), promotes the winner's workdir to primary, and respawns the
-  worker there with ``--attempt N+1``.  Promotion is
-  :meth:`RecoverableRun.resume` — the same code path the single-node
-  supervisor trusts.
+* on worker death the supervisor's :class:`ReplicaGroup` elects (max
+  durable LSN, lowest id on ties), promotes the winner's workdir to
+  primary, and the worker is respawned there with ``--attempt N+1``,
+  at once, up to ``max_attempts`` workers.  Promotion is
+  :meth:`RecoverableRun.resume`, nothing else.
+
+With ``n_replicas=0`` this is the single-node supervisor (``repro
+supervise``): every failover resumes the primary's own workdir in
+place.  A supervisor built without a spec continues an existing
+cluster directory, so every worker it spawns resumes (attempt >= 1).
 
 The worker socket is one-directional (worker -> supervisor); acks are
 computed supervisor-side where the replicas live.  That keeps the
@@ -41,24 +46,26 @@ import time
 from pathlib import Path
 
 from repro.common.io import atomic_write_text
-from repro.faults.injector import FaultInjector, ProcessCrash
-from repro.recovery.runner import RecoverableRun, RunSpec
-from repro.recovery.supervisor import CRASH_EXIT_CODE
-from repro.recovery.replication.monitor import ReplicationMonitor
-from repro.recovery.replication.protocol import FrameCorrupt, FrameDecoder, \
-    encode_frame, eof_frame
-from repro.recovery.replication.replica import ReplicaState
+from repro.faults.injector import ProcessCrash
+from repro.recovery import runner
+from repro.recovery.replication.group import ReplicaGroup
+from repro.recovery.replication.protocol import FrameCorrupt, FrameDecoder, encode_frame
 from repro.recovery.replication.session import JournalStreamer
-from repro.recovery.replication.transport import ChaosLink
-from repro.sim.metrics import MetricsRegistry
+from repro.recovery.runner import RecoverableRun, RunSpec
+
+#: Worker exit code for an injected ProcessCrash (distinguishable from
+#: tracebacks, SIGKILL, and clean exits in the supervisor's log).
+CRASH_EXIT_CODE = 73
 
 
 def run_primary_worker(workdir, attempt, connect):
     """Child-process entry for ``repro replicate --worker``.
 
     ``connect`` is ``host:port`` of the supervisor's frame listener.
-    Returns the exit code; injected crashes hard-exit like the
-    single-node worker does.
+    Builds the run (attempt 0) or resumes it, then streams it.  Returns
+    the exit code; an injected crash becomes a hard ``os._exit`` so no
+    buffered journal bytes sneak to disk on the way down — exactly what
+    SIGKILL would do.
     """
     workdir = Path(workdir)
     host, _, port = connect.rpartition(":")
@@ -89,7 +96,6 @@ class ReplicatedSupervisor:
     def __init__(self, clusterdir, spec=None, n_replicas=2, max_attempts=5,
                  stall_timeout=30.0, poll_interval=0.1):
         self.clusterdir = Path(clusterdir)
-        self.clusterdir.mkdir(parents=True, exist_ok=True)
         self.primary_dir = self.clusterdir / "primary"
         self.primary_dir.mkdir(parents=True, exist_ok=True)
         if spec is not None:
@@ -97,30 +103,13 @@ class ReplicatedSupervisor:
         self.spec = RunSpec.from_json(
             (self.primary_dir / "spec.json").read_text()
         )
+        # Without a spec the directory holds a run to continue: starting
+        # it over at attempt 0 would re-append journaled seqs and diverge.
+        self.first_attempt = 0 if spec is not None else 1
         self.max_attempts = int(max_attempts)
         self.stall_timeout = float(stall_timeout)
         self.poll_interval = float(poll_interval)
-        self.net_injector = FaultInjector(self.spec.plan)
-        self.monitor = ReplicationMonitor()
-        self.registry = MetricsRegistry()
-        self.monitor.register_with(self.registry)
-        self.replicas = []
-        self.links = {}
-        for i in range(int(n_replicas)):
-            replica = ReplicaState(
-                f"replica-{i}", self.clusterdir / f"replica-{i}",
-                keep_checkpoints=self.spec.keep_checkpoints,
-            )
-            atomic_write_text(
-                replica.workdir / "spec.json", self.spec.to_json()
-            )
-            self.replicas.append(replica)
-            self.links[replica.replica_id] = ChaosLink(
-                self.net_injector, replica.replica_id
-            )
-        self.monitor.attach(
-            net_stats=self.net_injector.net_stats, replicas=self.replicas
-        )
+        self.group = ReplicaGroup(self.spec, self.clusterdir, n_replicas)
 
     # Worker lifecycle --------------------------------------------------------------
 
@@ -141,17 +130,6 @@ class ReplicatedSupervisor:
             ],
             env=env,
         )
-
-    def _apply(self, frame):
-        self.monitor.observe_frame(frame)
-        if frame["kind"] == "heartbeat":
-            self.monitor.sample_lag([r.replica_id for r in self.replicas])
-        for replica in self.replicas:
-            link = self.links[replica.replica_id]
-            for delivered in link.send(frame):
-                ack = replica.apply(delivered)
-                if ack is not None:
-                    self.monitor.observe_ack(ack)
 
     def _watch_attempt(self, workdir, attempt, listener):
         """One worker's lifetime; returns (exit_code, stalled)."""
@@ -177,7 +155,7 @@ class ReplicatedSupervisor:
                         if data:
                             last_seen = time.monotonic()
                             for frame in decoder.feed(data):
-                                self._apply(frame)
+                                self.group.send(frame)
                         else:
                             conn.close()
                             conn = None
@@ -198,7 +176,7 @@ class ReplicatedSupervisor:
                             if not data:
                                 break
                             for frame in decoder.feed(data):
-                                self._apply(frame)
+                                self.group.send(frame)
                     except (socket.timeout, OSError, FrameCorrupt):
                         pass
                     conn.close()
@@ -216,29 +194,6 @@ class ReplicatedSupervisor:
                 proc.kill()
                 proc.wait()
 
-    # Failover ----------------------------------------------------------------------
-
-    def _elect(self):
-        if not self.replicas:
-            return None
-        from repro.recovery.replication.session import _id_order
-        return max(
-            self.replicas,
-            key=lambda r: (r.durable_lsn, _id_order(r.replica_id)),
-        )
-
-    def _promote(self, crash_mono):
-        promoted = self._elect()
-        if promoted is None:
-            self.monitor.record_failover("<self>", crash_mono)
-            return self.primary_dir
-        promoted.close()
-        self.replicas.remove(promoted)
-        self.links.pop(promoted.replica_id)
-        self.primary_dir = promoted.workdir
-        self.monitor.record_failover(promoted.replica_id, crash_mono)
-        return promoted.workdir
-
     # Main loop ---------------------------------------------------------------------
 
     def run(self, check_equivalence=False):
@@ -248,19 +203,18 @@ class ReplicatedSupervisor:
             "crashes": 0,
             "stalls_killed": 0,
             "exit_codes": [],
-            "promoted": [],
             "result": None,
             "equivalence": None,
         }
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.bind(("127.0.0.1", 0))
         listener.listen(1)
-        workdir = self.primary_dir
         try:
-            for attempt in range(self.max_attempts):
-                outcome["attempts"] = attempt + 1
+            for attempt in range(self.first_attempt,
+                                 self.first_attempt + self.max_attempts):
+                outcome["attempts"] += 1
                 rc, stalled = self._watch_attempt(
-                    workdir, attempt, listener
+                    self.primary_dir, attempt, listener
                 )
                 outcome["exit_codes"].append(rc)
                 if rc == 0:
@@ -270,54 +224,25 @@ class ReplicatedSupervisor:
                     outcome["stalls_killed"] += 1
                 else:
                     outcome["crashes"] += 1
-                workdir = self._promote(time.monotonic())
+                self.primary_dir = self.group.promote(
+                    self.primary_dir, time.monotonic()
+                )
         finally:
             listener.close()
-        self._finalize()
-        outcome["promoted"] = list(self.monitor.promoted)
-        outcome["failovers"] = self.monitor.failovers
-        outcome["final_workdir"] = str(workdir)
-        outcome["replication"] = self.monitor.snapshot()
-        outcome["metrics"] = self.registry.snapshot()
+        self.group.close()
+        outcome.update(self.group.report())
+        outcome["final_workdir"] = str(self.primary_dir)
         if outcome["completed"]:
             outcome["result"] = json.loads(
-                (workdir / "result.json").read_text()
+                (self.primary_dir / "result.json").read_text()
             )
             if check_equivalence:
-                outcome["equivalence"] = self.check_equivalence(
-                    outcome["result"]
+                outcome["equivalence"] = runner.check_equivalence(
+                    self.spec, outcome["result"],
+                    self.clusterdir / "_reference",
                 )
         atomic_write_text(
             self.clusterdir / "outcome.json",
             json.dumps(outcome, sort_keys=True, indent=2),
         )
         return outcome
-
-    def _finalize(self):
-        final_lsn = self.monitor.primary_lsn
-        for replica in self.replicas:
-            link = self.links[replica.replica_id]
-            for delivered in link.drain():
-                ack = replica.apply(delivered)
-                if ack is not None:
-                    self.monitor.observe_ack(ack)
-            if not replica.eof_seen:
-                ack = replica.apply(eof_frame(final_lsn))
-                if ack is not None:
-                    self.monitor.observe_ack(ack)
-            replica.close()
-
-    def check_equivalence(self, result):
-        ref_run = RecoverableRun(
-            self.spec.without_crashes(), self.clusterdir / "_reference",
-            attempt=0,
-        )
-        ref_result = ref_run.run()
-        return {
-            "fingerprint": result["fingerprint"],
-            "reference_fingerprint": ref_result["fingerprint"],
-            "equivalent": (
-                result["fingerprint"] == ref_result["fingerprint"]
-            ),
-            "reference_validation": ref_result["validation"],
-        }

@@ -3,33 +3,34 @@
 :class:`JournalStreamer` taps a :class:`~repro.recovery.runner.
 RecoverableRun` at its three durability points — the journal's
 post-fsync batch sink, the checkpoint store's ``save`` and the
-per-interval heartbeat — and turns each into protocol frames.  The
-ordering guarantee is **fsync-then-stream**: a record reaches the wire
-only after it is durable at the primary, so no replica can ever hold a
-record the primary might lose, and the set of records a crash destroys
-is identical at every node (modulo transport loss, which only shrinks
-it further).
+per-interval ``interval_hook`` — and turns each into protocol frames.
+The ordering guarantee is **fsync-then-stream**: a record reaches the
+wire only after it is durable at the primary, so no replica can ever
+hold a record the primary might lose, and the set of records a crash
+destroys is identical at every node (modulo transport loss, which only
+shrinks it further).
 
 :class:`ReplicationSession` runs the whole tier in one process — the
-primary run, a :class:`~repro.recovery.replication.transport.ChaosLink`
-per replica, and the replicas' durable state — which makes chaos
+primary run and a :class:`~repro.recovery.replication.group.
+ReplicaGroup` of N replicas behind chaos links — which makes chaos
 campaigns deterministic and fast.  Failover is the heart of it:
 
 1. the primary dies (an injected :class:`ProcessCrash` at a target LSN,
    a checkpoint-publish boundary, or the plan's ``crash_after_ops``);
-2. the election picks the replica with the highest ``durable_lsn``
-   (ties break to the lowest replica id) — deterministic, no quorum
-   theatre needed for a primary-backup pair;
+2. the group elects the replica with the highest ``durable_lsn`` (ties
+   break to the lowest replica id) — deterministic, no quorum theatre
+   needed for a primary-backup pair;
 3. the promoted replica's workdir — journal + checkpoints, maintained
    entirely from streamed frames — is handed to
    :meth:`RecoverableRun.resume`, which restores, lockstep-verifies and
    continues.  Promotion *is* resume; there is no special replica code
    path to get wrong.
 
-Because resume-by-re-execution is bit-deterministic, the completed
-failover run's fingerprint equals the uninterrupted reference run's —
-the same crash-equivalence guarantee the single-node tier makes, now
-surviving the death of the node itself.
+With ``n_replicas=0`` every failover resumes the primary's own workdir
+in place: that is the single-node crash/resume loop, and the in-process
+harness the recovery tests run.  Because resume-by-re-execution is
+bit-deterministic, the completed run's fingerprint equals the
+uninterrupted reference run's, whether or not the node itself died.
 
 The process-tree variant (real SIGKILL, sockets) lives in
 ``cluster.py``; this module is the mechanism, that one is the harness.
@@ -38,12 +39,10 @@ The process-tree variant (real SIGKILL, sockets) lives in
 import time
 from pathlib import Path
 
-from repro.common.io import atomic_write_text
-from repro.faults.injector import FaultInjector, ProcessCrash
+from repro.faults.injector import ProcessCrash
+from repro.recovery import runner
 from repro.recovery.journal import read_journal
-from repro.recovery.runner import RecoverableRun
-from repro.recovery.snapshot import CheckpointCorrupt, load_checkpoint
-from repro.recovery.replication.monitor import ReplicationMonitor
+from repro.recovery.replication.group import ReplicaGroup
 from repro.recovery.replication.protocol import (
     checkpoint_frame,
     encode_record_line,
@@ -52,9 +51,8 @@ from repro.recovery.replication.protocol import (
     hello_frame,
     record_frame,
 )
-from repro.recovery.replication.replica import ReplicaState
-from repro.recovery.replication.transport import ChaosLink
-from repro.sim.metrics import MetricsRegistry
+from repro.recovery.runner import RecoverableRun
+from repro.recovery.snapshot import CheckpointCorrupt, load_checkpoint
 
 
 class JournalStreamer:
@@ -65,7 +63,6 @@ class JournalStreamer:
         self.send = send
         self.on_checkpoint = on_checkpoint
         self._saved_save = None
-        self._saved_heartbeat = False
         self._attached = False
 
     # Attach / detach ---------------------------------------------------------------
@@ -99,16 +96,12 @@ class JournalStreamer:
 
         store.save = streaming_save
 
-        inner_heartbeat = run.heartbeat
-
-        def streaming_heartbeat(interval):
-            inner_heartbeat(interval)
+        def heartbeat(interval):
             streamer.send(heartbeat_frame(
                 run.journal.seq, interval, time.monotonic()
             ))
 
-        run.heartbeat = streaming_heartbeat
-        self._saved_heartbeat = True
+        run.interval_hook = heartbeat
         self._attached = True
         return self
 
@@ -121,8 +114,7 @@ class JournalStreamer:
             store.__dict__.pop("save", None)
         else:
             store.save = self._saved_save
-        if self._saved_heartbeat:
-            self.run.__dict__.pop("heartbeat", None)
+        self.run.interval_hook = None
         self._attached = False
 
     # Catch-up ----------------------------------------------------------------------
@@ -167,76 +159,21 @@ class JournalStreamer:
 
 
 class ReplicationSession:
-    """Primary + N replicas + chaos links, all in one process."""
+    """Primary + a group of N replicas, all in one process."""
 
     def __init__(self, spec, workdir, n_replicas=2, registry=None):
         self.spec = spec
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.primary_dir = self.workdir / "primary"
-        # The net streams come from their own injector so the primary
-        # run's merge-fault schedule is untouched by transport chaos.
-        self.net_injector = FaultInjector(spec.plan)
-        self.monitor = ReplicationMonitor()
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.monitor.register_with(self.registry)
-        self.replicas = []
-        self.links = {}
-        for i in range(int(n_replicas)):
-            replica = ReplicaState(
-                f"replica-{i}", self.workdir / f"replica-{i}",
-                keep_checkpoints=spec.keep_checkpoints,
-            )
-            # The spec lands on disk at join time, not via a droppable
-            # hello frame: promotion must never depend on delivery.
-            atomic_write_text(replica.workdir / "spec.json", spec.to_json())
-            self.replicas.append(replica)
-            self.links[replica.replica_id] = ChaosLink(
-                self.net_injector, replica.replica_id
-            )
-        self.monitor.attach(
-            net_stats=self.net_injector.net_stats, replicas=self.replicas
-        )
-        self.crashes = 0
+        self.group = ReplicaGroup(spec, self.workdir, n_replicas, registry)
 
-    # Fan-out -----------------------------------------------------------------------
-
-    def _send_to_all(self, frame):
-        self.monitor.observe_frame(frame)
-        if frame["kind"] == "heartbeat":
-            self.monitor.sample_lag(
-                [r.replica_id for r in self.replicas]
-            )
-        for replica in self.replicas:
-            link = self.links[replica.replica_id]
-            for delivered in link.send(frame):
-                ack = replica.apply(delivered)
-                if ack is not None:
-                    self.monitor.observe_ack(ack)
-
-    def _drain_links(self):
-        for replica in self.replicas:
-            link = self.links[replica.replica_id]
-            for delivered in link.drain():
-                ack = replica.apply(delivered)
-                if ack is not None:
-                    self.monitor.observe_ack(ack)
-
-    # Election ----------------------------------------------------------------------
+    @property
+    def replicas(self):
+        return self.group.replicas
 
     def elect(self):
-        """The failover rule: highest durable LSN, ties to lowest id.
-
-        Deterministic by construction — both criteria are totally
-        ordered — so every observer of the same replica states promotes
-        the same node.
-        """
-        if not self.replicas:
-            return None
-        return max(
-            self.replicas,
-            key=lambda r: (r.durable_lsn, _id_order(r.replica_id)),
-        )
+        return self.group.elect()
 
     # Main loop ---------------------------------------------------------------------
 
@@ -251,7 +188,7 @@ class ReplicationSession:
         ``"published"`` (checkpoint durable locally, not yet streamed)
         or ``"streamed"`` — the kill-during-checkpoint-publish cases.
         The plan's own ``crash_after_ops``/``process_crash_prob`` work
-        too, exactly as under the single-node supervisor.
+        too, exactly as under the process-tree supervisor.
         """
         pending_lsns = sorted(int(t) for t in kill_at_lsns)
         pending_ckpt = (
@@ -259,40 +196,45 @@ class ReplicationSession:
         )
         run = RecoverableRun(self.spec, self.primary_dir, attempt=0)
         result = None
+        crashes = 0
         for attempt in range(int(max_attempts)):
             self._arm_lsn_kills(run, pending_lsns)
             streamer = JournalStreamer(
-                run, self._send_to_all,
+                run, self.group.send,
                 on_checkpoint=self._ckpt_kill_hook(pending_ckpt),
             )
             try:
                 result = streamer.stream_attempt()
                 break
             except ProcessCrash:
-                self.crashes += 1
+                crashes += 1
                 crash_mono = time.monotonic()
                 streamer.detach()
                 run.journal.op_hook = None
                 run.journal.detach()
                 run.journal.simulate_crash()
-                run = self._fail_over(attempt + 1, crash_mono)
+                self.primary_dir = self.group.promote(
+                    self.primary_dir, crash_mono
+                )
+                run = RecoverableRun.resume(
+                    self.primary_dir, attempt=attempt + 1
+                )
         else:
             raise RuntimeError(
                 f"replication session did not complete within "
                 f"{max_attempts} attempts"
             )
-        self._finalize()
+        self.group.close()
         out = {
             "result": result,
-            "crashes": self.crashes,
-            "failovers": self.monitor.failovers,
-            "promoted": list(self.monitor.promoted),
+            "crashes": crashes,
             "final_workdir": str(run.workdir),
-            "replication": self.monitor.snapshot(),
-            "metrics": self.registry.snapshot(),
+            **self.group.report(),
         }
         if check_equivalence:
-            out["equivalence"] = self.check_equivalence(result)
+            out["equivalence"] = runner.check_equivalence(
+                self.spec, result, self.workdir / "_reference"
+            )
         return out
 
     def _arm_lsn_kills(self, run, pending_lsns):
@@ -324,56 +266,3 @@ class ReplicationSession:
                 )
 
         return hook
-
-    def _fail_over(self, attempt, crash_mono):
-        """Promote the best replica; returns the resumed run."""
-        promoted = self.elect()
-        if promoted is None:
-            # Degraded mode: no replica left — restart in place, the
-            # single-node story.
-            run = RecoverableRun.resume(self.primary_dir, attempt=attempt)
-            self.monitor.record_failover("<self>", crash_mono)
-            return run
-        promoted.close()
-        self.replicas.remove(promoted)
-        self.links.pop(promoted.replica_id)
-        self.primary_dir = promoted.workdir
-        run = RecoverableRun.resume(promoted.workdir, attempt=attempt)
-        self.monitor.record_failover(promoted.replica_id, crash_mono)
-        return run
-
-    def _finalize(self):
-        """Deliver stragglers and close every surviving replica."""
-        self._drain_links()
-        final_lsn = self.monitor.primary_lsn
-        for replica in self.replicas:
-            if not replica.eof_seen:
-                # The eof may have been eaten by chaos; closing is
-                # control-plane, so apply it directly.
-                ack = replica.apply(eof_frame(final_lsn))
-                if ack is not None:
-                    self.monitor.observe_ack(ack)
-            replica.close()
-
-    # Equivalence -------------------------------------------------------------------
-
-    def check_equivalence(self, result):
-        """Uninterrupted reference run vs the failed-over run."""
-        ref_run = RecoverableRun(
-            self.spec.without_crashes(), self.workdir / "_reference",
-            attempt=0,
-        )
-        ref_result = ref_run.run()
-        return {
-            "fingerprint": result["fingerprint"],
-            "reference_fingerprint": ref_result["fingerprint"],
-            "equivalent": (
-                result["fingerprint"] == ref_result["fingerprint"]
-            ),
-            "reference_validation": ref_result["validation"],
-        }
-
-
-def _id_order(replica_id):
-    """Sort key making *lower* ids win ties under ``max``."""
-    return tuple(-ord(c) for c in replica_id)

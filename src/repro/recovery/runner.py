@@ -7,8 +7,9 @@ optional degradation governor) in a crash-safe loop:
 * every merge op is journaled (:mod:`repro.recovery.journal`);
 * every ``checkpoint_every`` intervals the **full** component state is
   snapshotted (:mod:`repro.recovery.serialize` + ``CheckpointStore``);
-* a heartbeat file is touched each interval so a supervisor can detect
-  stalls.
+* ``interval_hook`` is called after each committed interval; the
+  replication streamer uses it to send the liveness frames a supervisor
+  watches for stalls.
 
 Recovery is *resume-by-re-execution*: restore the newest valid
 checkpoint, then re-run the remaining intervals.  Because every RNG
@@ -22,7 +23,10 @@ to append mode and the run continues onto new ground.
 
 The **crash-equivalence guarantee** this module is tested against: a run
 that crashes (any number of times) and resumes produces a final state
-fingerprint byte-identical to the same spec run uninterrupted.
+fingerprint byte-identical to the same spec run uninterrupted
+(:func:`check_equivalence`).  The crash/resume drivers live in
+:mod:`repro.recovery.replication`; with zero replicas they are the
+single-node tier.
 """
 
 import hashlib
@@ -57,7 +61,7 @@ class RunSpec:
     keep_checkpoints: int = 3
     use_governor: bool = False
     plan: FaultPlan = field(default_factory=FaultPlan)
-    # Test hook: attempt 0 stops heartbeating at this interval and spins,
+    # Test hook: attempt 0 stops streaming at this interval and spins,
     # exercising the supervisor's stall watchdog.  None in real runs.
     stall_at_interval: int = None
 
@@ -95,6 +99,20 @@ class RunSpec:
         return replace(self, plan=quiet_plan, stall_at_interval=None)
 
 
+def check_equivalence(spec, result, ref_dir):
+    """Replay ``spec`` uninterrupted in ``ref_dir`` and compare the final
+    fingerprint with a crashed-and-recovered run's ``result``."""
+    ref_result = RecoverableRun(
+        spec.without_crashes(), ref_dir, attempt=0
+    ).run()
+    return {
+        "fingerprint": result["fingerprint"],
+        "reference_fingerprint": ref_result["fingerprint"],
+        "equivalent": result["fingerprint"] == ref_result["fingerprint"],
+        "reference_validation": ref_result["validation"],
+    }
+
+
 class RecoverableRun:
     """One crash-safe merge run rooted at ``workdir``.
 
@@ -118,6 +136,7 @@ class RecoverableRun:
         self.resumed_from_step = None
         self.replayed_records = 0
         self.checkpoints_written = 0
+        self.interval_hook = None
         # The fault plan arms the host: recovery runs compare every line
         # (line_sampling=1), so the oracle grading in validate() sees no
         # sampling artefacts.
@@ -180,15 +199,6 @@ class RecoverableRun:
 
     # Execution --------------------------------------------------------------------
 
-    def heartbeat(self, interval):
-        # The monotonic timestamp travels in the payload, not the mtime:
-        # supervisors compare it against their own CLOCK_MONOTONIC, which
-        # is skew-free across processes on one host.
-        with open(self.workdir / "heartbeat", "w") as handle:
-            handle.write(json.dumps(
-                {"interval": int(interval), "mono": time.monotonic()}
-            ))
-
     def _maybe_stall(self, interval):
         if (
             self.attempt == 0
@@ -219,7 +229,8 @@ class RecoverableRun:
                 self.footprints.append(footprint)
                 self.journal.commit_interval(interval, footprint)
                 self.start_interval = interval + 1
-                self.heartbeat(interval)
+                if self.interval_hook is not None:
+                    self.interval_hook(interval)
                 crash_now = self.injector.maybe_crash()
                 if (
                     spec.checkpoint_every
@@ -347,24 +358,3 @@ class RecoverableRun:
         )
         return result
 
-
-def run_to_completion(spec, workdir, max_attempts=8):
-    """In-process crash/retry loop (the tests' supervisor-less harness).
-
-    Runs the spec, and on each :class:`ProcessCrash` simulates the
-    process death (the journal's unflushed tail is dropped) and resumes
-    from the latest checkpoint, up to ``max_attempts``.
-    """
-    run = RecoverableRun(spec, workdir, attempt=0)
-    crashes = 0
-    for attempt in range(max_attempts):
-        try:
-            result = run.run()
-            result["crashes"] = crashes
-            return result
-        except ProcessCrash:
-            crashes += 1
-            run.journal.detach()
-            run.journal.simulate_crash()
-            run = RecoverableRun.resume(workdir, attempt=attempt + 1)
-    raise RuntimeError(f"run did not complete within {max_attempts} attempts")

@@ -13,7 +13,7 @@ from repro.faults import DegradationGovernor, FaultPlan
 from repro.ksm import KSMDaemon
 from repro.ksm.esx import ESXStyleMerger
 from repro.ksm.uksm import UKSMDaemon
-from repro.recovery.runner import RunSpec, run_to_completion
+from repro.recovery import ReplicationSession, RunSpec
 from repro.scenarios import ScenarioSpec, available_scenarios
 from repro.sim import ServerSystem, SimulationScale
 from repro.sim.backends import (
@@ -359,7 +359,9 @@ class TestRecovery:
             app="moses", mode="uksm", seed=5, pages_per_vm=40, n_vms=2,
             intervals=4, checkpoint_every=2,
         )
-        result = run_to_completion(spec, tmp_path / "uksm-run")
+        result = ReplicationSession(
+            spec, tmp_path / "uksm-run", n_replicas=0
+        ).run()["result"]
         assert result["merges"] > 0
         assert result["validation"]["auditor_clean"]
         assert result["validation"]["zero_false_merges"]

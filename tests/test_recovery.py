@@ -16,12 +16,12 @@ from repro.recovery import (
     MergeJournal,
     RecoverableRun,
     RecoveryDivergence,
+    ReplicationSession,
     RunSpec,
     dump_checkpoint,
     load_checkpoint,
     read_journal,
     replay_journal,
-    run_to_completion,
 )
 from repro.recovery import serialize
 from repro.recovery.journal import encode_record
@@ -299,8 +299,9 @@ def _small_spec(**overrides):
 
 def test_crash_equivalence_ksm(tmp_path):
     spec = _small_spec()
-    crashed = run_to_completion(spec, tmp_path / "crashed")
-    assert crashed["crashes"] >= 1
+    out = ReplicationSession(spec, tmp_path / "crashed", n_replicas=0).run()
+    crashed = out["result"]
+    assert out["crashes"] >= 1
     reference = RecoverableRun(
         spec.without_crashes(), tmp_path / "ref"
     ).run()
@@ -315,12 +316,14 @@ def test_crash_equivalence_with_interval_crashes(tmp_path):
     plan = FaultPlan(seed=11, process_crash_prob=0.4,
                      vm_destroy_prob=0.05, unmerge_churn_prob=0.3)
     spec = _small_spec(seed=11, plan=plan, intervals=8)
-    crashed = run_to_completion(spec, tmp_path / "crashed",
-                                max_attempts=16)
+    out = ReplicationSession(spec, tmp_path / "crashed", n_replicas=0).run(
+        max_attempts=16
+    )
+    crashed = out["result"]
     reference = RecoverableRun(
         spec.without_crashes(), tmp_path / "ref"
     ).run()
-    assert crashed["crashes"] >= 1  # prob 0.4 over 8 intervals
+    assert out["crashes"] >= 1  # prob 0.4 over 8 intervals
     assert crashed["fingerprint"] == reference["fingerprint"]
     assert crashed["validation"]["auditor_clean"]
     assert crashed["validation"]["zero_false_merges"]
@@ -335,11 +338,12 @@ def test_crash_equivalence_pageforge(tmp_path):
     )
     spec = _small_spec(mode="pageforge", seed=5, plan=plan,
                        pages_per_vm=30, intervals=4)
-    crashed = run_to_completion(spec, tmp_path / "crashed")
+    out = ReplicationSession(spec, tmp_path / "crashed", n_replicas=0).run()
+    crashed = out["result"]
     reference = RecoverableRun(
         spec.without_crashes(), tmp_path / "ref"
     ).run()
-    assert crashed["crashes"] >= 1
+    assert out["crashes"] >= 1
     assert crashed["fingerprint"] == reference["fingerprint"]
     assert crashed["validation"]["auditor_clean"]
     assert crashed["validation"]["zero_false_merges"]
@@ -464,93 +468,3 @@ def test_latency_mode_summaries_resume(tmp_path):
     assert (
         resumed.summaries["baseline"] == first.summaries["baseline"]
     )
-
-
-# ---------------------------------------------------------------------------
-# Heartbeat liveness: monotonic payload with mtime fallback
-# ---------------------------------------------------------------------------
-
-def test_heartbeat_payload_carries_monotonic_clock(tmp_path):
-    import time
-
-    from repro.recovery.supervisor import read_heartbeat
-
-    run = RecoverableRun(_small_spec(), tmp_path, attempt=0)
-    before = time.monotonic()
-    run.heartbeat(3)
-    after = time.monotonic()
-    payload = json.loads((tmp_path / "heartbeat").read_text())
-    assert payload["interval"] == 3
-    mono, mtime = read_heartbeat(tmp_path / "heartbeat")
-    assert mono is not None and before <= mono <= after
-    assert mtime is not None
-
-
-def test_read_heartbeat_legacy_and_missing(tmp_path):
-    from repro.recovery.supervisor import read_heartbeat
-
-    legacy = tmp_path / "heartbeat"
-    legacy.write_text("5\n")  # pre-payload format: a bare interval
-    mono, mtime = read_heartbeat(legacy)
-    assert mono is None  # no embedded clock -> caller falls back to mtime
-    assert mtime is not None
-    assert read_heartbeat(tmp_path / "missing") == (None, None)
-
-
-def test_heartbeat_staleness_prefers_payload_over_mtime(tmp_path):
-    import os
-    import time
-
-    from repro.recovery.supervisor import heartbeat_staleness
-
-    path = tmp_path / "heartbeat"
-    started_mono = time.monotonic()
-    started_wall = time.time()
-
-    # Fresh payload: staleness is near zero regardless of file mtime.
-    path.write_text(json.dumps({"interval": 1, "mono": time.monotonic()}))
-    os.utime(path, (started_wall - 3600, started_wall - 3600))
-    assert heartbeat_staleness(path, started_mono, started_wall) < 1.0
-
-    # Stale payload: an hour-old monotonic stamp reads as an hour stale
-    # even though the file mtime is fresh.
-    path.write_text(
-        json.dumps({"interval": 1, "mono": time.monotonic() - 3600})
-    )
-    stale = heartbeat_staleness(path, started_mono - 7200, started_wall)
-    assert stale > 3500
-
-
-def test_heartbeat_staleness_clamps_to_spawn_time(tmp_path):
-    import time
-
-    from repro.recovery.supervisor import heartbeat_staleness
-
-    path = tmp_path / "heartbeat"
-    # A beat left behind by a previous attempt predates this watcher's
-    # spawn; the fresh worker gets its full grace period from spawn.
-    path.write_text(
-        json.dumps({"interval": 9, "mono": time.monotonic() - 3600})
-    )
-    started_mono = time.monotonic()
-    assert heartbeat_staleness(path, started_mono, time.time()) < 1.0
-
-    # No heartbeat at all: staleness counts from spawn too.
-    assert heartbeat_staleness(
-        tmp_path / "missing", started_mono, time.time()
-    ) < 1.0
-
-
-def test_heartbeat_staleness_mtime_fallback_for_legacy_files(tmp_path):
-    import os
-    import time
-
-    from repro.recovery.supervisor import heartbeat_staleness
-
-    path = tmp_path / "heartbeat"
-    path.write_text("4\n")
-    started_wall = time.time() - 7200
-    old = started_wall + 10
-    os.utime(path, (old, old))
-    stale = heartbeat_staleness(path, time.monotonic() - 7200, started_wall)
-    assert stale > 7000  # counted from the legacy file's mtime

@@ -17,7 +17,7 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.recovery import ReplicatedSupervisor, RunSpec
-from repro.recovery.supervisor import CRASH_EXIT_CODE
+from repro.recovery.replication.cluster import CRASH_EXIT_CODE
 
 pytestmark = pytest.mark.slow
 
