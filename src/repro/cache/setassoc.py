@@ -28,11 +28,6 @@ class CacheStats:
     def accesses(self):
         return self.hits + self.misses
 
-    def miss_rate_for(self, source):
-        h = self.hits_by_source.get(source, 0)
-        m = self.misses_by_source.get(source, 0)
-        return m / (h + m) if (h + m) else 0.0
-
 
 class _Entry:
     __slots__ = ("addr", "state", "owner")
@@ -185,14 +180,6 @@ class SetAssocCache:
     def occupancy(self):
         """Total valid lines resident."""
         return sum(len(s) for s in self._sets)
-
-    def occupancy_by_owner(self):
-        """Resident line counts grouped by installing source."""
-        counts = defaultdict(int)
-        for cache_set in self._sets:
-            for entry in cache_set.values():
-                counts[entry.owner] += 1
-        return dict(counts)
 
 
 def _release(presence, addr):

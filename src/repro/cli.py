@@ -299,63 +299,12 @@ def cmd_faults(args):
 
 
 def cmd_supervise(args):
-    """Crash-safe supervised run: checkpoints, journal, watchdog, resume.
+    """Crash-safe supervised run with N journal-streaming replicas.
 
-    The replicated tier with zero replicas: the worker runs under
-    ``<workdir>/primary`` and every crash or stall resumes it in place.
-    """
-    from repro.faults import FaultPlan
-    from repro.recovery import ReplicatedSupervisor, RunSpec
-
-    spec = None
-    if not args.resume:
-        plan = FaultPlan.uniform(args.rate, seed=args.seed, churn=True)
-        import dataclasses
-
-        plan = dataclasses.replace(
-            plan,
-            process_crash_prob=args.crash_prob,
-            crash_after_ops=args.crash_after_ops,
-        )
-        spec = RunSpec(
-            app=args.app, mode=args.mode, seed=args.seed,
-            pages_per_vm=args.pages_per_vm, n_vms=args.vms,
-            intervals=args.intervals,
-            checkpoint_every=args.checkpoint_every, plan=plan,
-        )
-    supervisor = ReplicatedSupervisor(
-        args.workdir, spec=spec, n_replicas=0,
-        max_attempts=args.max_attempts, stall_timeout=args.stall_timeout,
-    )
-    outcome = supervisor.run(check_equivalence=args.check_equivalence)
-    print(json.dumps(
-        {
-            k: outcome[k]
-            for k in ("completed", "attempts", "crashes", "stalls_killed",
-                      "exit_codes", "promoted", "result", "equivalence")
-        },
-        indent=2, sort_keys=True,
-    ))
-    return _supervised_exit_code(outcome)
-
-
-def _supervised_exit_code(outcome):
-    """0 iff the run completed clean (and equivalent, when checked)."""
-    if not outcome["completed"]:
-        return 1
-    validation = outcome["result"]["validation"]
-    clean = validation["auditor_clean"] and validation["zero_false_merges"]
-    if outcome["equivalence"] is not None:
-        clean &= outcome["equivalence"]["equivalent"]
-    return 0 if clean else 1
-
-
-def cmd_replicate(args):
-    """Replicated recovery tier: primary-backup streaming + failover.
-
-    ``--worker`` is the internal child entry the supervisor spawns (the
-    primary process); the parent hosts the replicas, the chaos links
-    and the failover loop.
+    The worker runs under ``<workdir>/primary``.  A dead or stalled
+    worker fails over to the replica with the highest durable LSN, or,
+    with ``--replicas 0``, resumes its own workdir in place.
+    ``--worker`` is the internal child entry the supervisor spawns.
     """
     import dataclasses
 
@@ -365,25 +314,31 @@ def cmd_replicate(args):
 
     if args.worker:
         return run_primary_worker(args.workdir, args.attempt, args.connect)
+    if args.resume and args.replicas > 0:
+        # Replicas rebuilt over existing directories would append their
+        # catch-up stream a second time.
+        print("error: --resume needs --replicas 0", file=sys.stderr)
+        return 2
 
-    plan = FaultPlan.uniform(args.rate, seed=args.seed, churn=True)
-    plan = dataclasses.replace(
-        plan,
-        process_crash_prob=args.crash_prob,
-        crash_after_ops=args.kill_after_ops,
-        net_drop_rate=args.net_drop,
-        net_duplicate_rate=args.net_duplicate,
-        net_reorder_rate=args.net_reorder,
-        net_lag_frames=args.net_lag,
-        partition_prob=args.partition_prob,
-        partition_frames=args.partition_frames,
-    )
-    spec = RunSpec(
-        app=args.app, mode=args.mode, seed=args.seed,
-        pages_per_vm=args.pages_per_vm, n_vms=args.vms,
-        intervals=args.intervals,
-        checkpoint_every=args.checkpoint_every, plan=plan,
-    )
+    spec = None
+    if not args.resume:
+        plan = dataclasses.replace(
+            FaultPlan.uniform(args.rate, seed=args.seed, churn=True),
+            process_crash_prob=args.crash_prob,
+            crash_after_ops=args.crash_after_ops,
+            net_drop_rate=args.net_drop,
+            net_duplicate_rate=args.net_duplicate,
+            net_reorder_rate=args.net_reorder,
+            net_lag_frames=args.net_lag,
+            partition_prob=args.partition_prob,
+            partition_frames=args.partition_frames,
+        )
+        spec = RunSpec(
+            app=args.app, mode=args.mode, seed=args.seed,
+            pages_per_vm=args.pages_per_vm, n_vms=args.vms,
+            intervals=args.intervals,
+            checkpoint_every=args.checkpoint_every, plan=plan,
+        )
     supervisor = ReplicatedSupervisor(
         args.workdir, spec=spec, n_replicas=args.replicas,
         max_attempts=args.max_attempts, stall_timeout=args.stall_timeout,
@@ -393,19 +348,25 @@ def cmd_replicate(args):
         {
             k: outcome[k]
             for k in ("completed", "attempts", "crashes", "stalls_killed",
-                      "failovers", "promoted", "final_workdir",
-                      "exit_codes")
+                      "exit_codes", "failovers", "promoted",
+                      "final_workdir", "result", "equivalence")
         },
         indent=2, sort_keys=True,
     ))
-    rep = outcome["replication"]
-    print(f"primary LSN {rep['primary_lsn']}, "
-          f"{rep['records_streamed']} records / "
-          f"{rep['checkpoints_streamed']} checkpoints streamed, "
-          f"lag p95 {rep['lag_records']['p95']:.0f} records")
+    if args.replicas > 0:
+        rep = outcome["replication"]
+        print(f"primary LSN {rep['primary_lsn']}, "
+              f"{rep['records_streamed']} records / "
+              f"{rep['checkpoints_streamed']} checkpoints streamed, "
+              f"lag p95 {rep['lag_records']['p95']:.0f} records")
+    # 0 iff the run completed clean (and equivalent, when checked).
+    if not outcome["completed"]:
+        return 1
+    validation = outcome["result"]["validation"]
+    clean = validation["auditor_clean"] and validation["zero_false_merges"]
     if outcome["equivalence"] is not None:
-        print("equivalent:", outcome["equivalence"]["equivalent"])
-    return _supervised_exit_code(outcome)
+        clean &= outcome["equivalence"]["equivalent"]
+    return 0 if clean else 1
 
 
 def cmd_demo(args):
@@ -606,18 +567,21 @@ def build_parser():
 
     p = sub.add_parser(
         "supervise",
-        help="crash-safe supervised run with checkpoint/journal recovery",
+        help="crash-safe supervised run: checkpoint/journal recovery, "
+             "optional journal-streaming replicas and failover",
     )
     p.add_argument("--workdir", required=True,
                    help="run directory (outcome.json; the run itself in "
-                        "primary/)")
+                        "primary/, replicas in replica-<i>/)")
     p.add_argument("--resume", action="store_true",
                    help="continue an existing workdir instead of starting "
-                        "a fresh spec")
+                        "a fresh spec (needs --replicas 0)")
     p.add_argument("--app", default="moses", choices=list(TAILBENCH_APPS))
     p.add_argument("--mode", default="pageforge",
                    choices=list(recoverable_backends()))
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--replicas", type=int, default=0,
+                   help="replicas to fail over to (0 = resume in place)")
     p.add_argument("--pages-per-vm", type=int, default=60)
     p.add_argument("--vms", type=int, default=3)
     p.add_argument("--intervals", type=int, default=8)
@@ -630,36 +594,6 @@ def build_parser():
     p.add_argument("--crash-after-ops", type=int, default=0,
                    help="die once the N-th journaled merge op lands "
                         "(0 = off)")
-    p.add_argument("--max-attempts", type=int, default=5)
-    p.add_argument("--stall-timeout", type=float, default=30.0,
-                   help="seconds of stream silence before SIGKILL")
-    p.add_argument("--check-equivalence", action="store_true",
-                   help="replay uninterrupted and compare fingerprints")
-    p.set_defaults(func=cmd_supervise)
-
-    p = sub.add_parser(
-        "replicate",
-        help="replicated recovery tier: streamed journal, heartbeat "
-             "failover, partition chaos",
-    )
-    p.add_argument("--workdir", required=True,
-                   help="cluster directory (primary + replica workdirs)")
-    p.add_argument("--app", default="moses", choices=list(TAILBENCH_APPS))
-    p.add_argument("--mode", default="pageforge",
-                   choices=list(recoverable_backends()))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicas", type=int, default=2)
-    p.add_argument("--pages-per-vm", type=int, default=60)
-    p.add_argument("--vms", type=int, default=3)
-    p.add_argument("--intervals", type=int, default=8)
-    p.add_argument("--checkpoint-every", type=int, default=2)
-    p.add_argument("--rate", type=float, default=0.0,
-                   help="per-line fault rate for the uniform plan")
-    p.add_argument("--crash-prob", type=float, default=0.0,
-                   help="per-interval probability of primary death")
-    p.add_argument("--kill-after-ops", type=int, default=0,
-                   help="kill the primary once the N-th journaled op "
-                        "lands (0 = off)")
     p.add_argument("--net-drop", type=float, default=0.0,
                    help="per-frame replication drop rate")
     p.add_argument("--net-duplicate", type=float, default=0.0,
@@ -683,7 +617,7 @@ def build_parser():
                    help=argparse.SUPPRESS)
     p.add_argument("--connect", default="",
                    help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_replicate)
+    p.set_defaults(func=cmd_supervise)
 
     p = sub.add_parser("demo", help="30-second merge demo")
     p.add_argument("--vms", type=int, default=2)

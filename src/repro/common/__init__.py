@@ -17,7 +17,7 @@ from repro.common.config import (
     VirtualizationConfig,
     default_machine_config,
 )
-from repro.common.rng import DeterministicRNG, derive_rng
+from repro.common.rng import DeterministicRNG
 from repro.common.units import (
     CACHE_LINE_BYTES,
     ECC_CODE_BYTES_PER_LINE,
@@ -53,7 +53,6 @@ __all__ = [
     "bytes_to_gib",
     "cycles_to_seconds",
     "default_machine_config",
-    "derive_rng",
     "gbps",
     "seconds_to_cycles",
 ]

@@ -75,7 +75,3 @@ class DeterministicRNG:
         """Uniformly random bytes as a ``uint8`` numpy array."""
         return self._gen.integers(0, 256, size=n_bytes, dtype=np.uint8)
 
-
-def derive_rng(seed, name):
-    """Shorthand for ``DeterministicRNG(seed).derive(name)``."""
-    return DeterministicRNG(seed, name)

@@ -58,11 +58,11 @@ class _Batch:
 class PageForgeTreeStrategy:
     """Hardware red-black-tree walks over the Scan Table."""
 
-    def __init__(self, api, hypervisor, resilience=None):
+    def __init__(self, api, hypervisor):
         self.api = api
         self.hypervisor = hypervisor
         self.engine = api.engine
-        self.resilience = resilience or ResilienceConfig()
+        self.resilience = ResilienceConfig()
         self.fault_stats = DriverResilienceStats()
         self.now = 0.0  # simulation time for bandwidth accounting
         self.cycles_consumed = 0  # engine cycles since last drain
@@ -390,14 +390,12 @@ class PageForgeMergeDriver:
     """
 
     def __init__(self, hypervisor, controller, bus=None, ksm_config=None,
-                 pf_config=None, line_sampling=1, resilience=None):
+                 pf_config=None, line_sampling=1):
         self.config = pf_config or PageForgeConfig()
         self.engine = PageForgeEngine(controller, bus=bus, config=self.config,
                                       line_sampling=line_sampling)
         self.api = PageForgeAPI(self.engine)
-        self.strategy = PageForgeTreeStrategy(
-            self.api, hypervisor, resilience=resilience
-        )
+        self.strategy = PageForgeTreeStrategy(self.api, hypervisor)
         self.daemon = KSMDaemon(
             hypervisor,
             config=ksm_config or KSMConfig(),

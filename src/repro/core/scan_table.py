@@ -166,6 +166,3 @@ class ScanTable:
         other = self.n_entries * (1 + ppn_bits + 2 * ptr_bits)
         pfe = 1 + ppn_bits + hash_bits + ptr_bits + 4
         return other + pfe
-
-    def storage_bytes(self, ppn_bits=36, hash_bits=32):
-        return (self.storage_bits(ppn_bits, hash_bits) + 7) // 8

@@ -82,7 +82,13 @@ class FaultPlan:
     partition_frames: int = 16
 
     def __post_init__(self):
-        total = self.line_fault_rate
+        total = (
+            self.single_bit_rate
+            + self.double_bit_rate
+            + self.silent_rate
+            + self.drop_rate
+            + self.latency_spike_rate
+        )
         if not 0.0 <= total < 1.0:
             raise ValueError(f"per-line fault rates sum to {total}")
         if self.crash_after_ops < 0:
@@ -107,17 +113,6 @@ class FaultPlan:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} out of [0, 1]: {value}")
-
-    @property
-    def line_fault_rate(self):
-        """Total probability that one line read is affected."""
-        return (
-            self.single_bit_rate
-            + self.double_bit_rate
-            + self.silent_rate
-            + self.drop_rate
-            + self.latency_spike_rate
-        )
 
     @property
     def net_fault_rate(self):

@@ -21,7 +21,7 @@ from repro.fleet.migration import (
     capture_vm,
     migrate_vm,
 )
-from repro.fleet.reduce import FleetResult, fleet_fingerprint, reduce_shards
+from repro.fleet.reduce import FleetResult, reduce_shards
 from repro.fleet.runner import (
     ShardRetryExhausted,
     default_workers,
@@ -32,7 +32,6 @@ from repro.fleet.shard import (
     ShardTask,
     frame_digest_counts,
     run_shard,
-    run_shard_from_spec,
     shard_tasks,
 )
 from repro.sim.host import FunctionalHost
@@ -49,12 +48,10 @@ __all__ = [
     "VMImagePayload",
     "capture_vm",
     "default_workers",
-    "fleet_fingerprint",
     "frame_digest_counts",
     "migrate_vm",
     "reduce_shards",
     "run_fleet",
     "run_shard",
-    "run_shard_from_spec",
     "shard_tasks",
 ]

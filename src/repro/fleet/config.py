@@ -25,7 +25,7 @@ of how many hosts exist — adding host 7 never perturbs host 3.
 """
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.common.config import TAILBENCH_APPS
@@ -176,6 +176,3 @@ class FleetSpec:
         )
         return cls(seed=seed, hosts=hosts, duration_s=duration_s,
                    warmup_s=warmup_s).validate()
-
-    def with_hosts(self, hosts):
-        return replace(self, hosts=tuple(hosts))

@@ -32,7 +32,6 @@ from repro.recovery.serialize import jsonify
 
 __all__ = [
     "FleetResult",
-    "fleet_fingerprint",
     "reduce_shards",
 ]
 
@@ -145,11 +144,6 @@ class FleetResult:
         return hashlib.blake2b(
             canonical.encode("utf-8"), digest_size=16
         ).hexdigest()
-
-
-def fleet_fingerprint(result):
-    """Fingerprint of a FleetResult (module-level convenience)."""
-    return result.fingerprint
 
 
 def _host_row(r):

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict
 
 from repro.common.config import TAILBENCH_APPS
-from repro.fleet.config import FleetSpec, HostSpec
+from repro.fleet.config import FleetSpec
 from repro.sim.host import frame_digest_counts
 from repro.sim.runner import latency_summary
 from repro.sim.system import ServerSystem, SimulationScale
@@ -144,8 +144,3 @@ def run_shard(task: ShardTask) -> ShardResult:
         cow_breaks=hyp.stats.cow_breaks,
     )
 
-
-def run_shard_from_spec(spec: FleetSpec, host: HostSpec) -> ShardResult:
-    """Convenience: run one host of a fleet without the pool machinery."""
-    (task,) = shard_tasks(spec.with_hosts([host]))
-    return run_shard(task)

@@ -590,10 +590,6 @@ class KSMDaemon:
 
     # Introspection -------------------------------------------------------------
 
-    @property
-    def unstable_pages(self):
-        return len(self.unstable_tree)
-
     def run_to_steady_state(self, max_passes=10, min_passes=2):
         """Run whole passes until merging stops making progress.
 

@@ -28,11 +28,6 @@ class DRAMStats:
     def total_bytes(self):
         return sum(self.bytes_by_source.values())
 
-    @property
-    def row_hit_rate(self):
-        total = self.row_hits + self.row_misses
-        return self.row_hits / total if total else 0.0
-
 
 class BandwidthWindow:
     """Byte counts bucketed into fixed-width windows of simulated time.
@@ -83,13 +78,6 @@ class BandwidthWindow:
                 for src, n in self._buckets[bucket].items()
             },
         )
-
-    def mean_gbps(self):
-        """Average bandwidth across the observed span, in GB/s."""
-        if not self._totals:
-            return 0.0
-        span = (max(self._totals) - min(self._totals) + 1) * self.window_seconds
-        return sum(self._totals.values()) / span / 1e9
 
     def recent_bytes(self, time_seconds):
         """Bytes attributable to the sliding window ending at ``time_seconds``.
@@ -185,7 +173,3 @@ class DRAMModel:
         self.stats.bytes_by_source[source] += CACHE_LINE_BYTES
         self.bandwidth.record(time_seconds, CACHE_LINE_BYTES, source)
         return cycles
-
-    def reset_rows(self):
-        """Close all rows (e.g. between measurement phases)."""
-        self._open_rows = [-1] * len(self._open_rows)

@@ -14,8 +14,8 @@
                  primary-backup replicas, failover and chaos transport,
                  in process (:class:`ReplicationSession`) or as a
                  watchdog process tree (:class:`ReplicatedSupervisor`,
-                 `repro replicate`).  With zero replicas they are the
-                 single-node tier (`repro supervise`).
+                 `repro supervise --replicas N`).  With zero replicas
+                 they are the single-node tier.
 """
 
 from repro.recovery.journal import (
@@ -23,7 +23,6 @@ from repro.recovery.journal import (
     MergeJournal,
     RecoveryDivergence,
     read_journal,
-    replay_journal,
 )
 from repro.recovery.replication import (
     ReplicatedSupervisor,
@@ -52,5 +51,4 @@ __all__ = [
     "dump_checkpoint",
     "load_checkpoint",
     "read_journal",
-    "replay_journal",
 ]

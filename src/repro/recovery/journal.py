@@ -1,8 +1,8 @@
-"""The write-ahead merge journal: durable redo records for every merge op.
+"""The write-ahead merge journal: one durable record per merge op.
 
 Every state-changing hypervisor operation the merging stack performs —
 ``merge_pages``, ``break_cow``, ``unmerge_page``, ``destroy_vm`` — is
-captured as one JSON-line *redo record* carrying its arguments, its
+captured as one JSON-line *record* carrying its arguments, its
 outcome (the resulting PPN and a digest of the surviving frame's bytes)
 and a per-record checksum.  Records are buffered and flushed in batches
 (``flush_every``) with a real ``fsync``, so a crash loses at most the
@@ -11,15 +11,14 @@ the checksum and dropped on load, exactly like an LSM store's WAL tail.
 
 The journal serves three roles:
 
-1. **Redo replay** (:func:`replay_journal`): applied idempotently on top
-   of a restored snapshot, the records rebuild the hypervisor's merge
-   state op-for-op — each record checks whether its effect is already
-   present before re-executing, so replaying twice is harmless.
-2. **Lockstep divergence detection**: when a crashed run resumes, it
+1. **Lockstep divergence detection**: when a crashed run resumes, it
    deterministically *re-executes* from the checkpoint; the journal is
    switched into verify mode and every re-executed op is compared
    against the surviving records.  A mismatch means the replayed world
    differs from the pre-crash one — :class:`RecoveryDivergence`.
+2. **Replication**: each durable batch goes to the ``sink`` callback,
+   which the replication streamer turns into frames, so a replica's
+   journal is byte-identical to the primary's.
 3. **Audit trail**: the on-disk file is a human-readable history of
    every merge decision of the run.
 
@@ -114,7 +113,7 @@ def frame_digest(frame):
 
 
 class MergeJournal:
-    """Appends (or verifies) one redo record per hypervisor merge op."""
+    """Appends (or verifies) one record per hypervisor merge op."""
 
     def __init__(self, path, flush_every=8):
         self.path = Path(path)
@@ -314,98 +313,3 @@ class MergeJournal:
         self._hypervisor = None
         self._saved = {}
 
-
-def replay_journal(hypervisor, records, strict=True):
-    """Idempotently re-apply redo ``records`` to ``hypervisor``.
-
-    Each record checks whether its effect already holds (the op is then
-    a no-op), so replaying a prefix that a snapshot already covers — or
-    replaying the whole journal twice — converges to the same state.
-    Returns ``{"applied": n, "skipped": n, "mismatches": n}``; with
-    ``strict=True`` a result-PPN or digest mismatch raises
-    :class:`RecoveryDivergence` instead of counting.
-    """
-    stats = {"applied": 0, "skipped": 0, "mismatches": 0}
-
-    def mismatch(message):
-        if strict:
-            raise RecoveryDivergence(message)
-        stats["mismatches"] += 1
-
-    for record in records:
-        op = record["op"]
-        args = record["args"]
-        if op in ("commit", "merge_rollback"):
-            stats["skipped"] += 1
-            continue
-        if op == "vm_destroy":
-            vm = hypervisor.vms.get(args["v"])
-            if vm is None:
-                stats["skipped"] += 1
-            else:
-                hypervisor.destroy_vm(vm)
-                stats["applied"] += 1
-            continue
-        if op == "merge":
-            winner_vm = hypervisor.vms.get(args["wv"])
-            loser_vm = hypervisor.vms.get(args["lv"])
-            if winner_vm is None or loser_vm is None:
-                stats["skipped"] += 1
-                continue
-            if (winner_vm.mapping(args["wg"]).ppn
-                    == loser_vm.mapping(args["lg"]).ppn):
-                stats["skipped"] += 1  # already merged
-                continue
-            try:
-                ppn = hypervisor.merge_pages(
-                    winner_vm, args["wg"], loser_vm, args["lg"]
-                )
-            except MergeRollback:
-                mismatch(f"replayed merge rolled back: {record}")
-                continue
-            if ppn != args["ppn"]:
-                mismatch(
-                    f"merge replay landed on PPN {ppn}, journal says "
-                    f"{args['ppn']}"
-                )
-            elif frame_digest(hypervisor.memory.frame(ppn)) != args["digest"]:
-                mismatch(f"merge replay content digest mismatch: {record}")
-            stats["applied"] += 1
-            continue
-        if op == "break_cow":
-            vm = hypervisor.vms.get(args["v"])
-            if vm is None or not vm.is_mapped(args["g"]):
-                stats["skipped"] += 1
-                continue
-            mapping = vm.mapping(args["g"])
-            frame = hypervisor.memory.frame(mapping.ppn)
-            if not mapping.cow and frame.refcount == 1:
-                stats["skipped"] += 1  # already broken
-                continue
-            mapping = hypervisor.break_cow(vm, args["g"])
-            if mapping.ppn != args["ppn"]:
-                mismatch(
-                    f"break_cow replay landed on PPN {mapping.ppn}, "
-                    f"journal says {args['ppn']}"
-                )
-            stats["applied"] += 1
-            continue
-        if op == "unmerge":
-            vm = hypervisor.vms.get(args["v"])
-            if vm is None or not vm.is_mapped(args["g"]):
-                stats["skipped"] += 1
-                continue
-            mapping = vm.mapping(args["g"])
-            if not mapping.mergeable and mapping.ppn == args["ppn"]:
-                stats["skipped"] += 1  # already unmerged
-                continue
-            mapping = hypervisor.unmerge_page(vm, args["g"])
-            if mapping.ppn != args["ppn"]:
-                mismatch(
-                    f"unmerge replay landed on PPN {mapping.ppn}, "
-                    f"journal says {args['ppn']}"
-                )
-            stats["applied"] += 1
-            continue
-        mismatch(f"unknown journal op: {op!r}")
-    return stats

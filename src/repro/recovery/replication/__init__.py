@@ -14,8 +14,8 @@
 ``session``   — the in-process tier (:class:`ReplicationSession`) with
                 failover-by-resume;
 ``cluster``   — :class:`ReplicatedSupervisor`, the process-tree harness
-                with real sockets and real SIGKILL (`repro replicate`,
-                and `repro supervise` with zero replicas).
+                with real sockets and real SIGKILL (`repro supervise
+                --replicas N`; zero replicas resume in place).
 """
 
 from repro.recovery.replication.cluster import (

@@ -4,7 +4,7 @@
 module is the harness that proves it against actual process death.  The
 topology:
 
-* the **worker** (``repro replicate --worker``) is the primary: it
+* the **worker** (``repro supervise --worker``) is the primary: it
   builds or resumes a :class:`RecoverableRun`, connects back to the
   supervisor over a loopback TCP socket, and streams protocol frames
   through a :class:`JournalStreamer`.  An injected
@@ -23,12 +23,13 @@ topology:
   durable LSN, lowest id on ties), promotes the winner's workdir to
   primary, and the worker is respawned there with ``--attempt N+1``,
   at once, up to ``max_attempts`` workers.  Promotion is
-  :meth:`RecoverableRun.resume`, nothing else.
+  :meth:`RecoverableRun.resume`, nothing else.  The last worker's
+  death promotes nothing: no attempt would run there.
 
-With ``n_replicas=0`` this is the single-node supervisor (``repro
-supervise``): every failover resumes the primary's own workdir in
-place.  A supervisor built without a spec continues an existing
-cluster directory, so every worker it spawns resumes (attempt >= 1).
+``repro supervise --replicas N`` drives this class.  With
+``n_replicas=0`` every failover resumes the primary's own workdir in
+place.  A supervisor built without a spec continues an existing cluster
+directory, so every worker it spawns resumes (attempt >= 1).
 
 The worker socket is one-directional (worker -> supervisor); acks are
 computed supervisor-side where the replicas live.  That keeps the
@@ -59,7 +60,7 @@ CRASH_EXIT_CODE = 73
 
 
 def run_primary_worker(workdir, attempt, connect):
-    """Child-process entry for ``repro replicate --worker``.
+    """Child-process entry for ``repro supervise --worker``.
 
     ``connect`` is ``host:port`` of the supervisor's frame listener.
     Builds the run (attempt 0) or resumes it, then streams it.  Returns
@@ -123,7 +124,7 @@ class ReplicatedSupervisor:
             )
         return subprocess.Popen(
             [
-                sys.executable, "-m", "repro", "replicate",
+                sys.executable, "-m", "repro", "supervise",
                 "--worker", "--workdir", str(workdir),
                 "--attempt", str(attempt),
                 "--connect", f"127.0.0.1:{port}",
@@ -209,9 +210,9 @@ class ReplicatedSupervisor:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.bind(("127.0.0.1", 0))
         listener.listen(1)
+        last_attempt = self.first_attempt + self.max_attempts - 1
         try:
-            for attempt in range(self.first_attempt,
-                                 self.first_attempt + self.max_attempts):
+            for attempt in range(self.first_attempt, last_attempt + 1):
                 outcome["attempts"] += 1
                 rc, stalled = self._watch_attempt(
                     self.primary_dir, attempt, listener
@@ -224,9 +225,10 @@ class ReplicatedSupervisor:
                     outcome["stalls_killed"] += 1
                 else:
                     outcome["crashes"] += 1
-                self.primary_dir = self.group.promote(
-                    self.primary_dir, time.monotonic()
-                )
+                if attempt < last_attempt:
+                    self.primary_dir = self.group.promote(
+                        self.primary_dir, time.monotonic()
+                    )
         finally:
             listener.close()
         self.group.close()

@@ -93,10 +93,6 @@ class FrameDecoder:
             del self._buffer[:end]
             frames.append(decode_frame_body(body))
 
-    @property
-    def pending_bytes(self):
-        return len(self._buffer)
-
 
 # Frame constructors ----------------------------------------------------------------
 

@@ -34,7 +34,7 @@ from repro.common.io import atomic_write_text
 from repro.recovery.journal import _record_crc
 from repro.recovery.snapshot import CheckpointCorrupt, CheckpointStore, \
     parse_checkpoint
-from repro.recovery.replication.protocol import checkpoint_blob
+from repro.recovery.replication.protocol import ack_frame, checkpoint_blob
 
 
 class ReplicaState:
@@ -112,11 +112,7 @@ class ReplicaState:
         return None
 
     def _ack(self):
-        return {
-            "kind": "ack",
-            "replica": self.replica_id,
-            "lsn": self.next_expected,
-        }
+        return ack_frame(self.replica_id, self.next_expected)
 
     def _apply_hello(self, frame):
         atomic_write_text(self.workdir / "spec.json", frame["spec"])

@@ -2,8 +2,9 @@
 
 :class:`JournalStreamer` taps a :class:`~repro.recovery.runner.
 RecoverableRun` at its three durability points — the journal's
-post-fsync batch sink, the checkpoint store's ``save`` and the
-per-interval ``interval_hook`` — and turns each into protocol frames.
+post-fsync batch ``sink``, the checkpoint store's post-publish
+``on_save`` and the per-interval ``interval_hook`` — and turns each
+into protocol frames.
 The ordering guarantee is **fsync-then-stream**: a record reaches the
 wire only after it is durable at the primary, so no replica can ever
 hold a record the primary might lose, and the set of records a crash
@@ -62,60 +63,36 @@ class JournalStreamer:
         self.run = run
         self.send = send
         self.on_checkpoint = on_checkpoint
-        self._saved_save = None
-        self._attached = False
 
     # Attach / detach ---------------------------------------------------------------
 
     def attach(self):
-        run = self.run
-        streamer = self
-
-        def sink(line_bytes):
-            streamer.send(record_frame(
-                line_bytes.decode("utf-8").rstrip("\n")
-            ))
-
-        run.journal.sink = sink
-
-        store = run.store
-        inner_save = store.save
-        self._saved_save = store.__dict__.get("save")
-
-        def streaming_save(step, state, journal_seq=0, meta=None):
-            path = inner_save(step, state, journal_seq=journal_seq,
-                              meta=meta)
-            if streamer.on_checkpoint is not None:
-                streamer.on_checkpoint(step, "published")
-            streamer.send(checkpoint_frame(
-                step, journal_seq, Path(path).read_bytes()
-            ))
-            if streamer.on_checkpoint is not None:
-                streamer.on_checkpoint(step, "streamed")
-            return path
-
-        store.save = streaming_save
-
-        def heartbeat(interval):
-            streamer.send(heartbeat_frame(
-                run.journal.seq, interval, time.monotonic()
-            ))
-
-        run.interval_hook = heartbeat
-        self._attached = True
+        self.run.journal.sink = self._stream_record
+        self.run.store.on_save = self._stream_checkpoint
+        self.run.interval_hook = self._heartbeat
         return self
 
     def detach(self):
-        if not self._attached:
-            return
         self.run.journal.sink = None
-        store = self.run.store
-        if self._saved_save is None:
-            store.__dict__.pop("save", None)
-        else:
-            store.save = self._saved_save
+        self.run.store.on_save = None
         self.run.interval_hook = None
-        self._attached = False
+
+    def _stream_record(self, line_bytes):
+        self.send(record_frame(line_bytes.decode("utf-8").rstrip("\n")))
+
+    def _stream_checkpoint(self, step, journal_seq, path):
+        if self.on_checkpoint is not None:
+            self.on_checkpoint(step, "published")
+        self.send(checkpoint_frame(
+            step, journal_seq, Path(path).read_bytes()
+        ))
+        if self.on_checkpoint is not None:
+            self.on_checkpoint(step, "streamed")
+
+    def _heartbeat(self, interval):
+        self.send(heartbeat_frame(
+            self.run.journal.seq, interval, time.monotonic()
+        ))
 
     # Catch-up ----------------------------------------------------------------------
 
@@ -209,16 +186,16 @@ class ReplicationSession:
             except ProcessCrash:
                 crashes += 1
                 crash_mono = time.monotonic()
-                streamer.detach()
                 run.journal.op_hook = None
                 run.journal.detach()
                 run.journal.simulate_crash()
-                self.primary_dir = self.group.promote(
-                    self.primary_dir, crash_mono
-                )
-                run = RecoverableRun.resume(
-                    self.primary_dir, attempt=attempt + 1
-                )
+                if attempt + 1 < max_attempts:
+                    self.primary_dir = self.group.promote(
+                        self.primary_dir, crash_mono
+                    )
+                    run = RecoverableRun.resume(
+                        self.primary_dir, attempt=attempt + 1
+                    )
         else:
             raise RuntimeError(
                 f"replication session did not complete within "

@@ -14,8 +14,9 @@ or bit-rotted checkpoint is *skipped*, never trusted.
 
 :class:`CheckpointStore` manages a directory of ``ckpt-<step>.pfck``
 files: ``save`` publishes atomically (tmp + fsync + rename, via
-:mod:`repro.common.io`), ``latest`` scans newest-first and returns the
-first checkpoint that validates, counting the corrupt ones it skipped.
+:mod:`repro.common.io`), then calls its ``on_save`` callback;
+``latest`` scans newest-first and returns the first checkpoint that
+validates, counting the corrupt ones it skipped.
 """
 
 import hashlib
@@ -115,6 +116,10 @@ class CheckpointStore:
         self.directory = Path(directory)
         self.keep = int(keep)
         self.skipped_corrupt = 0
+        # After each publish and prune, save() calls
+        # on_save(step, journal_seq, path); the replication streamer
+        # points this at the wire.
+        self.on_save = None
 
     def path_for(self, step):
         return self.directory / f"ckpt-{int(step):08d}.pfck"
@@ -137,6 +142,8 @@ class CheckpointStore:
             journal_seq=journal_seq, meta=meta,
         )
         self.prune()
+        if self.on_save is not None:
+            self.on_save(step, journal_seq, path)
         return path
 
     def latest(self):

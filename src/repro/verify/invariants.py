@@ -106,11 +106,6 @@ class InvariantAuditor:
     def clean(self):
         return not self.violations
 
-    def assert_clean(self):
-        if self.violations:
-            raise self.violations[0]
-        return True
-
     def summary(self):
         return (
             f"invariant auditor: {self.total_checks} checks across "

@@ -239,14 +239,6 @@ class Hypervisor:
             result[sorted(cats)[0]] += 1
         return dict(result)
 
-    def guest_pages_by_category(self):
-        """Guest-mapped page counts grouped by workload category."""
-        result = defaultdict(int)
-        for vm in self.vms.values():
-            for mapping in vm.mappings():
-                result[mapping.category] += 1
-        return dict(result)
-
     def verify_consistency(self):
         """Invariant check: rmap, refcounts, and page tables agree."""
         seen = defaultdict(set)

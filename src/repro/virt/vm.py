@@ -76,15 +76,6 @@ class VirtualMachine:
         """GPN -> PPN."""
         return self.mapping(gpn).ppn
 
-    # madvise --------------------------------------------------------------------
-
-    def madvise_mergeable(self, gpn_start, n_pages):
-        """Mark [gpn_start, gpn_start + n_pages) as MADV_MERGEABLE."""
-        for gpn in range(gpn_start, gpn_start + n_pages):
-            if gpn in self._table:
-                self._table[gpn].mergeable = True
-        self._mergeable_gpns = None
-
     # Iteration ------------------------------------------------------------------
 
     def mappings(self):

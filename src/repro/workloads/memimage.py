@@ -147,9 +147,6 @@ class BuiltImages:
         frames += n_pair * ((n_vms + 1) // 2)  # one frame per VM pair
         return frames
 
-    def baseline_footprint(self):
-        return self.profile.n_pages_per_vm * self.n_vms
-
 
 class WriteChurner:
     """Rewrites churn pages so they never stabilise.

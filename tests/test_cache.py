@@ -87,20 +87,13 @@ class TestSetAssocCache:
         cache.release_mshr()
         assert cache.acquire_mshr()
 
-    def test_occupancy_by_owner(self):
-        cache = small_cache(sets=8, ways=2)
-        cache.insert(0, MESIState.SHARED, source="app")
-        cache.insert(1, MESIState.SHARED, source="ksm")
-        cache.insert(2, MESIState.SHARED, source="ksm")
-        owners = cache.occupancy_by_owner()
-        assert owners == {"app": 1, "ksm": 2}
-
     def test_miss_rate_by_source(self):
         cache = small_cache()
         cache.lookup(0, source="app")
         cache.insert(0, MESIState.SHARED, source="app")
         cache.lookup(0, source="app")
-        assert cache.stats.miss_rate_for("app") == pytest.approx(0.5)
+        assert cache.stats.hits_by_source["app"] == 1
+        assert cache.stats.misses_by_source["app"] == 1
 
     def test_peek_does_not_touch_stats(self):
         cache = small_cache()

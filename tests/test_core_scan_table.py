@@ -29,7 +29,7 @@ class TestScanTable:
     def test_storage_near_260_bytes(self):
         # Table 2 reports ~260 B for 31 Other Pages + 1 PFE.
         table = ScanTable(31)
-        assert 220 <= table.storage_bytes() <= 300
+        assert 220 * 8 <= table.storage_bits() <= 300 * 8
 
     def test_index_validity(self):
         table = ScanTable(4)

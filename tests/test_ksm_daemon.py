@@ -85,7 +85,7 @@ class TestMergingBehaviour:
         daemon = KSMDaemon(hypervisor, KSMConfig(pages_to_scan=500))
         total = hypervisor.guest_pages()
         daemon.scan_pages(total)
-        assert daemon.unstable_pages == 0  # destroyed at pass end
+        assert len(daemon.unstable_tree) == 0  # destroyed at pass end
 
     def test_changed_page_skipped(self, hypervisor, rng):
         vms = build_workload(hypervisor, rng, shared=1, unique=0, zeros=0)

@@ -138,17 +138,12 @@ class TestDRAMModel:
         assert by_src["app"] == CACHE_LINE_BYTES
         assert by_src["pageforge"] == CACHE_LINE_BYTES
 
-    def test_reset_rows(self):
-        dram = DRAMModel()
-        dram.access_line(0, 0, False, "core", 0.0)
-        dram.reset_rows()
-        assert all(r == -1 for r in dram._open_rows)
-
     def test_row_hit_rate(self):
         dram = DRAMModel()
         dram.access_line(0, 0, False, "core", 0.0)
         dram.access_line(0, 0, False, "core", 0.0)
-        assert dram.stats.row_hit_rate == pytest.approx(0.5)
+        assert dram.stats.row_hits == 1
+        assert dram.stats.row_misses == 1
 
 
 class TestBandwidthWindow:
@@ -164,7 +159,6 @@ class TestBandwidthWindow:
     def test_empty(self):
         win = BandwidthWindow()
         assert win.peak_gbps() == 0.0
-        assert win.mean_gbps() == 0.0
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):

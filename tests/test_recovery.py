@@ -21,7 +21,6 @@ from repro.recovery import (
     dump_checkpoint,
     load_checkpoint,
     read_journal,
-    replay_journal,
 )
 from repro.recovery import serialize
 from repro.recovery.journal import encode_record
@@ -105,7 +104,7 @@ def test_store_prunes_to_keep(tmp_path):
 # The merge journal
 # ---------------------------------------------------------------------------
 
-def test_journal_append_flush_and_read(tmp_path):
+def test_journal_append_flush_and_read(rng, tmp_path):
     path = tmp_path / "j.jsonl"
     journal = MergeJournal(path, flush_every=2).open()
     journal._emit("merge", {"wv": 0, "wg": 1, "lv": 1, "lg": 1, "ppn": 5,
@@ -118,6 +117,13 @@ def test_journal_append_flush_and_read(tmp_path):
     assert dropped == 0
     assert [r["op"] for r in records] == ["merge", "merge", "unmerge"]
     assert [r["seq"] for r in records] == [0, 1, 2]
+    # Attached to a hypervisor, it records each merge op as it lands.
+    attached = MergeJournal(tmp_path / "hyp.jsonl", flush_every=1).open()
+    _merged_setup(rng, journal=attached)
+    attached.detach()
+    attached.close()
+    records, _ = read_journal(tmp_path / "hyp.jsonl")
+    assert [r["op"] for r in records] == ["merge", "merge", "break_cow"]
 
 
 def test_journal_crash_drops_unflushed_tail(tmp_path):
@@ -188,7 +194,7 @@ def test_journal_verify_then_append(tmp_path):
 # Full-state serialisation
 # ---------------------------------------------------------------------------
 
-def _merged_setup(rng):
+def _merged_setup(rng, journal=None):
     hyp = Hypervisor(capacity_bytes=32 << 20)
     shared = rng.bytes_array(PAGE_BYTES)
     vms = []
@@ -198,6 +204,8 @@ def _merged_setup(rng):
         hyp.populate_page(vm, 1, rng.bytes_array(PAGE_BYTES),
                           mergeable=True)
         vms.append(vm)
+    if journal is not None:
+        journal.attach_hypervisor(hyp)
     hyp.merge_pages(vms[0], 0, vms[1], 0)
     hyp.merge_pages(vms[0], 0, vms[2], 0)
     hyp.break_cow(vms[1], 0)
@@ -219,67 +227,6 @@ def test_hypervisor_state_roundtrip(rng):
     a = [hyp.memory.allocate().ppn for _ in range(3)]
     b = [fresh.memory.allocate().ppn for _ in range(3)]
     assert a == b
-
-
-def test_journal_replay_is_idempotent(rng, tmp_path):
-    hyp, vms = _merged_setup(rng)
-    # Reconstruct an identical pre-merge world to replay onto.
-    rng2 = DeterministicRNG(1234, "tests")
-    base, _ = _pre_merge_setup(rng2)
-    journal_path = tmp_path / "j.jsonl"
-    journal = MergeJournal(journal_path, flush_every=1).open()
-    journal.attach_hypervisor(base)
-    base.merge_pages(base.vm(0), 0, base.vm(1), 0)
-    base.merge_pages(base.vm(0), 0, base.vm(2), 0)
-    base.break_cow(base.vm(1), 0)
-    journal.detach()
-    journal.close()
-    records, _ = read_journal(journal_path)
-    assert [r["op"] for r in records] == ["merge", "merge", "break_cow"]
-
-    target, _ = _pre_merge_setup(DeterministicRNG(1234, "tests"))
-    stats1 = replay_journal(target, records)
-    assert stats1["applied"] == 3 and stats1["mismatches"] == 0
-    digests_once = serialize.page_digests(target)
-    # Replaying the whole journal again converges to the same state.
-    # (The break_cow undoes the second merge, so that pair re-executes —
-    # idempotence is about the final state, not about skipping.)
-    stats2 = replay_journal(target, records)
-    assert stats2["mismatches"] == 0
-    assert serialize.page_digests(target) == digests_once
-    target.verify_consistency()
-    assert serialize.page_digests(target) == serialize.page_digests(hyp)
-
-
-def test_journal_replay_skips_present_effects(rng, tmp_path):
-    """Records whose effects already hold are pure no-ops on replay."""
-    base, _ = _pre_merge_setup(rng)
-    journal = MergeJournal(tmp_path / "j.jsonl", flush_every=1).open()
-    journal.attach_hypervisor(base)
-    base.merge_pages(base.vm(0), 0, base.vm(1), 0)
-    base.merge_pages(base.vm(0), 0, base.vm(2), 0)
-    journal.detach()
-    journal.close()
-    records, _ = read_journal(tmp_path / "j.jsonl")
-    # Replay onto the hypervisor the journal was recorded FROM: every
-    # effect is already present, so nothing may execute.
-    stats = replay_journal(base, records)
-    assert stats["applied"] == 0
-    assert stats["skipped"] == len(records)
-    base.verify_consistency()
-
-
-def _pre_merge_setup(rng):
-    hyp = Hypervisor(capacity_bytes=32 << 20)
-    shared = rng.bytes_array(PAGE_BYTES)
-    vms = []
-    for i in range(3):
-        vm = hyp.create_vm(f"vm{i}")
-        hyp.populate_page(vm, 0, shared, mergeable=True)
-        hyp.populate_page(vm, 1, rng.bytes_array(PAGE_BYTES),
-                          mergeable=True)
-        vms.append(vm)
-    return hyp, vms
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The single-node tier is :class:`ReplicatedSupervisor` with zero
 replicas: every crash or stall resumes the primary's own workdir in
-place.  These tests spawn actual ``python -m repro replicate --worker``
+place.  These tests spawn actual ``python -m repro supervise --worker``
 subprocesses and (for the stall test) really SIGKILL one, so they are
 slow-marked; the in-process crash-equivalence coverage lives in
 ``test_recovery.py``.
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.faults import FaultPlan
 from repro.recovery import ReplicatedSupervisor, RunSpec, read_journal
 from repro.recovery.replication.cluster import CRASH_EXIT_CODE
@@ -115,6 +116,10 @@ def test_supervise_resume_continues_a_crashed_run(tmp_path):
     assert crashed.returncode == 1, crashed.stdout + crashed.stderr
     first = json.loads((tmp_path / "outcome.json").read_text())
     assert first["exit_codes"] == [CRASH_EXIT_CODE]
+    # No attempt followed the death, so nothing failed over.
+    assert first["failovers"] == 0
+    assert first["promoted"] == []
+    assert first["final_workdir"] == str(tmp_path / "primary")
 
     resumed = _supervise(tmp_path, "--resume", "--check-equivalence")
     assert resumed.returncode == 0, resumed.stdout + resumed.stderr
@@ -127,3 +132,13 @@ def test_supervise_resume_continues_a_crashed_run(tmp_path):
     records, _dropped = read_journal(tmp_path / "primary" / "journal.jsonl")
     seqs = [r["seq"] for r in records]
     assert len(seqs) == len(set(seqs))
+
+
+def test_supervise_refuses_resume_with_replicas(tmp_path, capsys):
+    # Replicas rebuilt over an existing cluster directory would append
+    # their catch-up stream a second time.
+    code = main(["supervise", "--workdir", str(tmp_path), "--resume",
+                 "--replicas", "1"])
+    assert code == 2
+    assert "--replicas 0" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

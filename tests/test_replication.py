@@ -56,7 +56,8 @@ class TestProtocol:
             "hello", "record", "checkpoint", "heartbeat", "eof"
         ]
         assert checkpoint_blob(decoded[2]) == b"blobbytes"
-        assert decoder.pending_bytes == 0
+        # Nothing was left buffered: the next frame decodes on its own.
+        assert decoder.feed(encode_frame(eof_frame(18)))[0]["lsn"] == 18
 
     def test_incremental_feed_one_byte_at_a_time(self):
         wire = encode_frame(heartbeat_frame(5, 2, 1.0))
@@ -349,6 +350,14 @@ class TestReplicationSession:
         out = session.run(kill_at_lsns=[15], check_equivalence=True)
         assert out["promoted"] == ["<self>"]
         assert out["equivalence"]["equivalent"]
+
+    def test_last_attempt_crash_promotes_nothing(self, tmp_path):
+        session = ReplicationSession(_spec(), tmp_path, n_replicas=1)
+        with pytest.raises(RuntimeError):
+            session.run(kill_at_lsns=[15], max_attempts=1)
+        assert session.group.monitor.failovers == 0
+        assert [r.replica_id for r in session.replicas] == ["replica-0"]
+        assert session.primary_dir == tmp_path / "primary"
 
     def test_lossy_links_do_not_change_fingerprint(self, tmp_path):
         quiet = ReplicationSession(_spec(), tmp_path / "quiet", n_replicas=1)

@@ -1,6 +1,6 @@
 """The replicated supervisor, exercised with real child processes.
 
-These spawn actual ``python -m repro replicate --worker`` primaries over
+These spawn actual ``python -m repro supervise --worker`` primaries over
 loopback TCP, hard-kill them (injected ``os._exit`` or the watchdog's
 genuine SIGKILL) and drive the failover through a promoted replica, so
 they are slow-marked; the deterministic in-process coverage lives in
@@ -78,14 +78,28 @@ def test_stalled_primary_is_sigkilled_then_failed_over(tmp_path):
     assert outcome["equivalence"]["equivalent"], outcome["equivalence"]
 
 
-def test_replicate_cli_end_to_end_with_partition_chaos(tmp_path):
+def test_last_worker_death_promotes_nothing(tmp_path):
+    supervisor = ReplicatedSupervisor(
+        tmp_path, spec=_spec(), n_replicas=1, max_attempts=1,
+        stall_timeout=60.0, poll_interval=0.05,
+    )
+    outcome = supervisor.run()
+    assert not outcome["completed"]
+    assert outcome["exit_codes"] == [CRASH_EXIT_CODE]
+    # No attempt follows the death, so no replica takes over.
+    assert outcome["failovers"] == 0
+    assert outcome["promoted"] == []
+    assert outcome["final_workdir"] == str(tmp_path / "primary")
+
+
+def test_supervise_replicas_cli_end_to_end_with_partition_chaos(tmp_path):
     cmd = [
-        sys.executable, "-m", "repro", "replicate",
+        sys.executable, "-m", "repro", "supervise",
         "--workdir", str(tmp_path / "cluster"),
         "--mode", "ksm", "--app", "moses", "--seed", "5",
         "--replicas", "2", "--pages-per-vm", "40", "--vms", "3",
         "--intervals", "6", "--checkpoint-every", "2",
-        "--kill-after-ops", "35",
+        "--crash-after-ops", "35",
         "--net-drop", "0.05", "--net-reorder", "0.05",
         "--partition-prob", "0.02", "--partition-frames", "8",
         "--stall-timeout", "60", "--check-equivalence",

@@ -27,14 +27,6 @@ class TestVirtualMachine:
         with pytest.raises(KeyError):
             vm.translate(9)
 
-    def test_madvise_range(self):
-        vm = VirtualMachine(0)
-        for g in range(5):
-            vm.map_page(g, g + 100)
-        vm.madvise_mergeable(1, 3)
-        mergeable = {m.gpn for m in vm.mergeable_mappings()}
-        assert mergeable == {1, 2, 3}
-
     def test_mappings_sorted(self):
         vm = VirtualMachine(0)
         vm.map_page(5, 1)
@@ -180,11 +172,6 @@ class TestFootprintReporting:
         assert by_cat["mergeable"] == 1
         assert by_cat["unmergeable"] == 2
         assert by_cat["zero"] == 2
-
-    def test_guest_pages_by_category(self, two_vm_setup):
-        hyp, _vms = two_vm_setup
-        by_cat = hyp.guest_pages_by_category()
-        assert by_cat == {"mergeable": 2, "unmergeable": 2, "zero": 2}
 
     def test_consistency_check_detects_corruption(self, two_vm_setup):
         hyp, (vm0, _vm1) = two_vm_setup
